@@ -11,17 +11,14 @@ benches of one pytest session share the process-wide sweep engine — the
 persistent trace store (each functional trace is interpreted at most
 once per machine) and the cell memo (cells appearing in several figures
 — fig. 4's baseline is also fig. 6's, fig. 7's and Table I's — are
-simulated exactly once per session).  :func:`make_runner` keeps the
-legacy :class:`~repro.harness.runner.ExperimentRunner` path alive for
-the ablation studies.
+simulated exactly once per session).  :func:`run_mechanisms` runs the
+ablation studies' ad-hoc mechanism sets the same way.
 """
 
 import pytest
 
-from repro.api import Session, WindowSpec
+from repro.api import ExperimentSpec, RunResult, Session, WindowSpec
 from repro.api import env as api_env
-from repro.harness.runner import ExperimentRunner
-from repro.harness.sweep import shared_engine
 from repro.workloads.spec2006 import benchmark_names, representative_names
 
 #: Re-exported for bench code: the representative subset now lives with
@@ -49,15 +46,13 @@ def bench_session() -> Session:
     return Session()
 
 
-def make_runner(benchmarks: list[str] | None = None) -> ExperimentRunner:
-    """An :class:`ExperimentRunner` on the session-shared sweep engine."""
-    warmup, measure = bench_windows()
-    return ExperimentRunner(
-        benchmarks=benchmarks or bench_benchmarks(),
-        warmup=warmup,
-        measure=measure,
-        engine=shared_engine(),
+def run_mechanisms(benchmarks: list[str], mechanisms) -> RunResult:
+    """Every benchmark × mechanism cell on the shared bench session."""
+    spec = ExperimentSpec.from_env(
+        benchmarks=benchmarks, mechanisms=mechanisms,
+        window=bench_window_spec(),
     )
+    return bench_session().run(spec)
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,8 @@ through the one environment overlay (explicit flag beats ``REPRO_*``
 beats default) and executes it through a
 :class:`~repro.api.session.Session`, so a CLI invocation, a bench and a
 library call are the same experiment value — fingerprint and all.
-
-The pre-PR 5 ``repro-sweep`` / ``repro-perf`` entry points survive as
-deprecated aliases of the underlying module CLIs.
+Runs fan out in parallel with ``repro sweep --shards N`` or, for any
+subcommand that runs a spec (``repro figures`` too), ``REPRO_SHARDS``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from pathlib import Path
 from repro.api import env as api_env
 from repro.api.figures import FIGURE_NAMES, render_figure, run_figure
 from repro.api.result import RunResult
-from repro.api.session import Session
+from repro.api.session import IncompleteRun, Session
 from repro.api.spec import ExperimentSpec, StoreSpec, WindowSpec
 from repro.harness.reporting import Table, format_ipc, harmonic_mean
 from repro.pipeline.config import MECHANISM_PRESETS, MechanismConfig
@@ -97,7 +96,6 @@ def _spec_summary(spec: ExperimentSpec) -> str:
            else (spec.store.path or "default cache"))
         + f", columnar {'on' if spec.store.columnar else 'off'}"
         + f", lake {'on' if spec.store.result_lake else 'off'}",
-        f"workers     : {spec.workers}",
         f"shards      : {spec.shards if spec.shards > 1 else 'in-process'}",
         f"cells       : {spec.cells}",
     ])
@@ -142,7 +140,7 @@ def _cmd_sweep(args) -> int:
                 ("--benchmark", args.benchmarks),
                 ("--mechanism", args.mechanisms),
                 ("--seeds", args.seeds), ("--warmup", args.warmup),
-                ("--measure", args.measure), ("--workers", args.workers),
+                ("--measure", args.measure),
                 ("--json", args.json),
             ) if value is not None
         ]
@@ -193,7 +191,6 @@ def _cmd_sweep(args) -> int:
             measure=args.measure,
             sampling=sampling,
             store=store,
-            workers=args.workers,
             shards=args.shards,
         )
     except (TypeError, ValueError) as error:
@@ -284,6 +281,9 @@ def _cmd_figures(args) -> int:
         except (TypeError, ValueError) as error:
             print(f"repro figures: {error}", file=sys.stderr)
             return 2
+        except IncompleteRun as error:
+            print(f"repro figures: {name}: {error}", file=sys.stderr)
+            return 1
         print(text)
         if args.out:
             out_dir = Path(args.out)
@@ -765,8 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="warm-up instructions (default: REPRO_WARMUP)")
     sweep.add_argument("--measure", type=int, default=None,
                        help="measured instructions (default: REPRO_MEASURE)")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="sweep worker processes (default: REPRO_WORKERS)")
     sweep.add_argument("--shards", type=int, default=None,
                        help="fault-tolerant sharded service shard count "
                        "(default: REPRO_SHARDS; 0/1 = in-process); with "
@@ -939,31 +937,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         return _cmd_serve(args)
     return _cmd_inspect(args)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated console aliases (PR 3's entry points)
-# ---------------------------------------------------------------------------
-
-
-def sweep_alias_main(argv: list[str] | None = None) -> int:
-    """``repro-sweep``: deprecated alias of ``repro sweep --smoke`` /
-    ``python -m repro.harness.sweep``."""
-    print("repro-sweep is deprecated; use `repro sweep` (same flags)",
-          file=sys.stderr)
-    from repro.harness.sweep import main as sweep_main
-
-    return sweep_main(argv)
-
-
-def perf_alias_main(argv: list[str] | None = None) -> int:
-    """``repro-perf``: deprecated alias of ``repro perf`` /
-    ``python -m repro.harness.perf``."""
-    print("repro-perf is deprecated; use `repro perf` (same flags)",
-          file=sys.stderr)
-    from repro.harness.perf import main as perf_main
-
-    return perf_main(argv)
 
 
 if __name__ == "__main__":

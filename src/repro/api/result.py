@@ -8,10 +8,10 @@ full :class:`~repro.pipeline.stats.Stats`, and host metadata for
 provenance.  ``FORMAT`` is bumped on any incompatible layout change;
 loaders reject artifacts from the future instead of misreading them.
 
-The accessor surface (``outcome`` / ``ipc`` / ``speedup``) mirrors the
-legacy :class:`~repro.harness.runner.ExperimentRunner`, so the figure
-formatters — and the figure benches' assertions — read either source
-unchanged.
+The accessor surface (``outcome`` / ``ipc`` / ``speedup``) follows the
+paper's methodology (§V): several checkpoints (seeds) per benchmark,
+per-benchmark IPC as the harmonic mean across checkpoints, speedups
+against the matching baseline runs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.api.spec import ExperimentSpec
-from repro.harness.runner import BenchmarkOutcome
+from repro.harness.reporting import harmonic_mean
 from repro.pipeline.simulator import SimulationResult
 from repro.pipeline.stats import Stats
 
@@ -54,6 +54,30 @@ def host_metadata() -> dict[str, str]:
         "implementation": sys.implementation.name,
         "platform": platform.platform(),
     }
+
+
+@dataclass
+class BenchmarkOutcome:
+    """All seeds of one (benchmark, mechanism) pair."""
+
+    benchmark: str
+    mechanism: str
+    results: list[SimulationResult] = field(default_factory=list)
+
+    @property
+    def ipc(self) -> float:
+        return harmonic_mean(result.ipc for result in self.results)
+
+    def stat_sum(self, name: str) -> int:
+        return sum(getattr(result.stats, name) for result in self.results)
+
+    def stat_fraction(self, name: str) -> float:
+        committed = self.stat_sum("committed")
+        return self.stat_sum(name) / committed if committed else 0.0
+
+    @property
+    def merged_stats(self) -> list[Stats]:
+        return [result.stats for result in self.results]
 
 
 @dataclass
@@ -144,7 +168,7 @@ class RunResult:
             ))
 
     # ------------------------------------------------------------------
-    # Accessors (ExperimentRunner-compatible)
+    # Accessors
     # ------------------------------------------------------------------
 
     @property
@@ -179,10 +203,10 @@ class RunResult:
     def digest(self) -> str:
         """Content digest over every cell's statistics.
 
-        Two runs of the same spec — legacy runner or Session, sequential
-        or parallel, cold or memoised — must produce the same digest;
-        the golden tests pin this against the legacy bench path.  Host
-        metadata and the store configuration never participate.
+        Two runs of the same spec — in-process or sharded, cold, memoised
+        or lake-served — must produce the same digest; the golden tests
+        pin this against direct sweep-engine cells.  Host metadata and
+        the store configuration never participate.
         """
         return cells_digest(self.cells)
 

@@ -1,24 +1,43 @@
 """The :class:`Session` facade: specs in, versioned artifacts out.
 
-A session owns the infrastructure — the shared trace store, the
-memoising sweep engine and (through it) the worker pool — and exposes
-exactly one operation: ``run(spec) -> RunResult``.  It routes into the
-existing :class:`~repro.harness.sweep.SweepEngine`, so every guarantee
-that engine gives (interpret once per machine, simulate each unique
-cell once per process, deterministic parallel merge) holds unchanged
-and the stats are bit-identical to the legacy
-:class:`~repro.harness.runner.ExperimentRunner` path.
+A session owns the infrastructure — the shared trace store and the
+memoising sweep engine — and exposes one operation: ``run(spec) ->
+RunResult``.  In process it routes into the
+:class:`~repro.harness.sweep.SweepEngine`, so every guarantee that
+engine gives (interpret once per machine, simulate each unique cell once
+per process) holds unchanged.  With ``spec.shards > 1`` the cells the
+memo lacks first fan out through the one parallel executor, the
+:class:`~repro.service.supervisor.ShardSupervisor`; the merged cells
+are filed in the engine's memo and the artifact is assembled from there.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.api.result import CellResult, RunResult
 from repro.api.spec import ExperimentSpec, StoreSpec
 from repro.obs import runtime as obs_runtime
 from repro.harness.sweep import SweepEngine, shared_engine
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.simulator import Simulator
+from repro.pipeline.simulator import SimulationResult, Simulator
 from repro.workloads.store import TraceStore
+
+
+class IncompleteRun(RuntimeError):
+    """A sharded :meth:`Session.run` lost cells to quarantined shards."""
+
+    def __init__(self, holes) -> None:
+        self.holes = tuple(holes)
+        listed = ", ".join(
+            f"{benchmark} × {mechanism} × seed {seed}"
+            for benchmark, mechanism, seed in self.holes
+        )
+        super().__init__(
+            f"sharded run incomplete: {len(self.holes)} cell(s) lost to "
+            f"quarantined shards ({listed}); Session.run_sharded returns "
+            "the partial result"
+        )
 
 
 class Session:
@@ -90,19 +109,25 @@ class Session:
         here — so the recorded window/sampling/seeds are exactly what
         ran, and running the same spec twice (or on another session
         with the same engine state) yields digest-identical artifacts.
+        With ``spec.shards > 1`` the cells this session has not
+        memoised fan out through :meth:`run_sharded` first; a merge with
+        holes raises :class:`IncompleteRun`, so ``run`` never returns a
+        partial result.
         """
         # The telemetry plane (DESIGN.md §13) activates for this scope
         # when the spec enables it; otherwise REPRO_OBS steers it like
         # any other plane variable.  Off (the default) is free: no
         # runtime resolves and the artifact carries no telemetry.
         with obs_runtime.activated(spec.obs):
+            telemetry = None
+            if spec.shards > 1:
+                telemetry = self._prefill_sharded(spec)
             swept = self.engine.sweep(
                 list(spec.benchmarks),
                 list(spec.mechanisms),
                 seeds=list(spec.seeds),
                 warmup=spec.window.warmup,
                 measure=spec.window.measure,
-                workers=spec.workers,
                 sampling=spec.sampling,
             )
             cells = [
@@ -110,11 +135,52 @@ class Session:
                 for (benchmark, name), results in swept.items()
                 for result in results
             ]
-            result = RunResult(spec=spec, cells=cells)
+            result = RunResult(spec=spec, cells=cells, telemetry=telemetry)
             active = obs_runtime.current()
-            if active is not None:
+            if active is not None and telemetry is None:
                 result.telemetry = active.telemetry_payload()
         return result
+
+    def _prefill_sharded(self, spec: ExperimentSpec) -> dict | None:
+        """Simulate *spec*'s unmemoised mechanisms through the shard
+        supervisor and file the merged cells in this session's memo.
+
+        Mechanisms whose every cell is already memoised (the baseline of
+        the next figure of ``repro figures``) are not dispatched again.
+        Returns the merged artifact's telemetry section, if any.
+        """
+        if self.engine.core_config != CoreConfig():
+            # Shard workers build their engines from the spec alone.
+            raise ValueError(
+                "a sharded run simulates the default core configuration; "
+                "run this spec with shards=0 on a custom-core session"
+            )
+        window, sampling = spec.window, spec.sampling
+        missing = tuple(
+            mechanism for mechanism in spec.mechanisms
+            if not all(
+                self.engine.memoised(
+                    benchmark, mechanism, seed, window.warmup,
+                    window.measure, sampling,
+                )
+                for benchmark in spec.benchmarks for seed in spec.seeds
+            )
+        )
+        if not missing:
+            return None
+        outcome = self.run_sharded(replace(spec, mechanisms=missing))
+        if outcome.holes:
+            raise IncompleteRun(outcome.holes)
+        by_name = {mechanism.name: mechanism for mechanism in missing}
+        for cell in outcome.result.cells:
+            self.engine.remember(
+                SimulationResult(
+                    cell.benchmark, cell.mechanism, cell.seed, cell.stats
+                ),
+                by_name[cell.mechanism], window.warmup, window.measure,
+                sampling,
+            )
+        return outcome.result.telemetry
 
     def run_sharded(
         self,
@@ -129,9 +195,10 @@ class Session:
         retry with backoff, reassignment, quarantine — DESIGN.md §11)
         and merge digest-verified; the returned
         :class:`~repro.service.supervisor.ShardedSweepResult` is
-        digest-identical to :meth:`run` when complete and carries
-        explicit holes otherwise.  ``shards <= 1`` (and a grid too small
-        to split) degrades gracefully to the in-process engine path.
+        digest-identical to an in-process :meth:`run` when complete and
+        carries explicit holes otherwise.  ``shards <= 1`` (and a grid
+        too small to split) degrades gracefully to the in-process engine
+        path.
         """
         from repro.service.supervisor import ShardSupervisor
 

@@ -120,12 +120,10 @@ class ExperimentSpec:
 
     The grid is ``benchmarks × mechanisms × seeds``; ``window``,
     ``sampling`` and ``store`` parameterise how each cell runs;
-    ``workers`` and ``shards`` how cells fan out.  ``Session.run(spec)``
-    routes the grid into the shared sweep engine, so results are
-    bit-identical to the legacy ``ExperimentRunner`` path; ``shards >
-    1`` selects the fault-tolerant sharded service
-    (:meth:`Session.run_sharded`, DESIGN.md §11) whose merged artifact
-    is digest-identical to the in-process run.
+    ``shards`` how cells fan out.  ``Session.run(spec)`` routes the grid
+    into the shared sweep engine, or with ``shards > 1`` through the
+    fault-tolerant sharded service (DESIGN.md §11), whose merged
+    artifact is digest-identical to the in-process run.
     """
 
     benchmarks: tuple[str, ...] = ()
@@ -136,10 +134,9 @@ class ExperimentSpec:
     window: WindowSpec = field(default_factory=WindowSpec)
     sampling: SamplingSpec = field(default_factory=SamplingSpec)
     store: StoreSpec = field(default_factory=StoreSpec)
-    workers: int = 1
     #: Sharded-service fan-out; 0 (or 1) = the in-process engine path.
-    #: Like ``workers``, sharding executes without changing any result,
-    #: so it never joins the fingerprint.
+    #: Sharding executes without changing any result, so it never joins
+    #: the fingerprint.
     shards: int = 0
     #: Observability (DESIGN.md §13): tracing + metrics for the session
     #: executing this spec.  Measurement-plane state like ``store`` —
@@ -177,8 +174,6 @@ class ExperimentSpec:
             raise ValueError(f"duplicate mechanism names: {names}")
         if not self.seeds:
             raise ValueError("an ExperimentSpec needs at least one seed")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.shards < 0:
             raise ValueError("shards must be >= 0 (0 = in-process)")
 
@@ -197,7 +192,6 @@ class ExperimentSpec:
         measure: int | None = None,
         sampling: SamplingSpec | None = None,
         store: StoreSpec | None = None,
-        workers: int | None = None,
         shards: int | None = None,
         obs: ObsSpec | None = None,
         strict: bool = False,
@@ -243,7 +237,6 @@ class ExperimentSpec:
             sampling=env.sampling_from_env() if sampling is None
             else sampling,
             store=StoreSpec.from_env() if store is None else store,
-            workers=env.workers_from_env() if workers is None else workers,
             shards=env.shards_from_env() if shards is None else shards,
             obs=ObsSpec.from_env() if obs is None else obs,
         )
@@ -255,12 +248,12 @@ class ExperimentSpec:
     def fingerprint(self) -> str:
         """Content fingerprint of everything that determines the stats.
 
-        Mechanism display names, the store configuration and the
-        worker/shard counts label or execute the experiment without
-        changing any result (all pinned by the equivalence/determinism
-        suites — the sharded service's merge gate included), so
-        none of them participate — two specs with the same fingerprint
-        produce bit-identical per-cell statistics.
+        Mechanism display names, the store configuration and the shard
+        count label or execute the experiment without changing any
+        result (all pinned by the equivalence/determinism suites — the
+        sharded service's merge gate included), so none of them
+        participate — two specs with the same fingerprint produce
+        bit-identical per-cell statistics.
         """
         payload = repr((
             self.benchmarks,
@@ -276,6 +269,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
+        if isinstance(payload, dict):
+            # Artifacts and client requests from before the sweep pool
+            # was retired carry a ``workers`` field; it never changed a
+            # result, so it is dropped rather than rejected.
+            payload = {
+                key: value for key, value in payload.items()
+                if key != "workers"
+            }
         spec = codec.decode(payload)
         if not isinstance(spec, cls):
             raise ValueError(

@@ -1,4 +1,4 @@
-"""Experiment harness: runners, redundancy analysis, reporting."""
+"""Experiment harness: sweep engine, redundancy analysis, reporting."""
 
 from repro.harness.redundancy import (
     LivePrfModel,
@@ -12,21 +12,13 @@ from repro.harness.reporting import (
     geometric_mean,
     harmonic_mean,
 )
-from repro.harness.runner import (
-    BenchmarkOutcome,
-    ExperimentRunner,
-    default_seeds,
-)
 
 __all__ = [
-    "BenchmarkOutcome",
-    "ExperimentRunner",
     "LivePrfModel",
     "RedundancyProfile",
     "Table",
     "analyze_benchmark",
     "analyze_trace",
-    "default_seeds",
     "format_percent",
     "geometric_mean",
     "harmonic_mean",

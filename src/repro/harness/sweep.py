@@ -2,10 +2,10 @@
 
 Every figure bench, ablation, example and CI gate ultimately runs the
 same kind of sweep — benchmark × mechanism × seed cells over a common
-window.  Before this module each script owned a private
-:class:`~repro.harness.runner.ExperimentRunner`, so the same functional
-trace was re-interpreted per script and the same cell (fig. 4's baseline
-is also fig. 6's, fig. 7's and Table I's) was re-simulated per script.
+window.  Before this module each script owned a private runner, so the
+same functional trace was re-interpreted per script and the same cell
+(fig. 4's baseline is also fig. 6's, fig. 7's and Table I's) was
+re-simulated per script.
 The sweep engine removes both redundancies:
 
 * **Traces** come from the engine's :class:`Simulator`, which memoises in
@@ -21,10 +21,12 @@ The sweep engine removes both redundancies:
   bit-identical to a rerun (the same determinism guarantee the golden
   tests pin down).
 
-Sweeps fan out over worker processes when ``workers > 1`` (or
-``REPRO_WORKERS`` is set); chunking and the deterministic merge follow
-the original parallel runner.  Workers share the on-disk trace store, so
-even a cold parallel sweep interprets each trace once.
+The engine itself is sequential.  Parallel sweeps go through the one
+parallel executor, :class:`~repro.service.supervisor.ShardSupervisor`
+(``ExperimentSpec.shards`` / ``REPRO_SHARDS``, DESIGN.md §11): its
+workers run :class:`SweepEngine` cells against the shared on-disk trace
+store, and :meth:`SweepEngine.remember` files the merged cells back into
+the caller's memo.
 
 ``python -m repro.harness.sweep --smoke`` is the CI gate: it runs a tiny
 sweep cold, re-runs it through the memo and through a fresh engine on
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import multiprocessing
 
 from repro.api import env as api_env
 from repro.obs.runtime import obs_tracer
@@ -43,7 +44,11 @@ from repro.pipeline.config import CoreConfig, MechanismConfig
 from repro.pipeline.simulator import SimulationResult, Simulator
 from repro.pipeline.stats import Stats
 from repro.sampling import SamplingConfig
-from repro.workloads.store import CELL_FORMAT, workload_code_version
+from repro.workloads.store import (
+    CELL_FORMAT,
+    model_code_version,
+    workload_code_version,
+)
 
 #: Cell key: (benchmark, seed, warmup, measure, mechanism fingerprint,
 #: sampling fingerprint, core-config fingerprint).  The core fingerprint
@@ -69,56 +74,12 @@ def mechanism_fingerprint(mechanism: MechanismConfig) -> str:
     return mechanism.fingerprint()
 
 
-def default_workers() -> int:
-    """Deprecated: use :func:`repro.api.env.workers_from_env` (or better,
-    :class:`repro.api.ExperimentSpec`'s ``workers`` field)."""
-    api_env.deprecated(
-        "repro.harness.sweep.default_workers",
-        "repro.api.env.workers_from_env",
-    )
-    return api_env.workers_from_env()
-
-
 def _copy_result(
     result: SimulationResult, benchmark: str, name: str, seed: int
 ) -> SimulationResult:
     """A fresh result view (own ``Stats``) labelled for the caller."""
     stats = dataclasses.replace(result.stats, extra=dict(result.stats.extra))
     return SimulationResult(benchmark, name, seed, stats)
-
-
-def _run_cells_task(payload):
-    """Worker entry point: simulate one benchmark's missing cells.
-
-    Chunked per benchmark so the worker interprets (or, warm, loads) each
-    trace once and reuses it across mechanisms.  Workers use the parent
-    engine's trace store (its root travels in the payload; ``None`` means
-    the parent disabled persistence), so the shared on-disk store makes
-    interpretation once-per-machine even across workers.  The lake gate
-    travels as a resolved bool — workers consult and populate the shared
-    result lake exactly like the parent would, never the environment —
-    and the worker's (simulated, lake-hit) counts travel back so the
-    parent's counters stay exact.
-    """
-    from repro.workloads.store import TraceStore
-
-    (
-        core_config, store_root, benchmark, cells, warmup, measure, sampling,
-        result_lake,
-    ) = payload
-    store = TraceStore(store_root) if store_root is not None else None
-    engine = SweepEngine(
-        simulator=Simulator(core_config, trace_store=store),
-        result_lake=result_lake,
-    )
-    results = [
-        engine.run_cell(
-            benchmark, mechanism, seed=seed, warmup=warmup, measure=measure,
-            sampling=sampling,
-        )
-        for mechanism, seed in cells
-    ]
-    return results, engine.cell_misses, engine.lake_hits
 
 
 class SweepEngine:
@@ -228,11 +189,12 @@ class SweepEngine:
     ) -> str:
         """Everything beyond (benchmark, seed) a lake cell depends on.
 
-        The complete fingerprint the ISSUE of unsound sharing demands:
-        resolved window, sampling fingerprint, mechanism fingerprint
-        (name-free), core-config fingerprint, workload-code version and
-        the cell format — a cell written under any other configuration
-        hashes to a different file name and can never be served.
+        The complete fingerprint: resolved window, sampling fingerprint,
+        mechanism fingerprint (name-free), core-config fingerprint,
+        workload-code and model-code versions and the cell format — a
+        cell written under any other configuration, or by any other
+        timing-model code, hashes to a different file name and can never
+        be served.
 
         Public because the cluster coordinator recomputes tokens locally
         to verify lake entries a remote host published (a host cannot
@@ -242,7 +204,8 @@ class SweepEngine:
         return "\x00".join((
             str(warmup), str(measure), sampling.fingerprint(),
             mechanism.fingerprint(), self._core_fp,
-            workload_code_version(), f"cell{CELL_FORMAT}",
+            workload_code_version(), model_code_version(),
+            f"cell{CELL_FORMAT}",
         ))
 
     def _cell_meta(
@@ -387,140 +350,54 @@ class SweepEngine:
         seeds: list[int] | None = None,
         warmup: int | None = None,
         measure: int | None = None,
-        workers: int | None = None,
         sampling: SamplingConfig | None = None,
     ) -> dict[tuple[str, str], list[SimulationResult]]:
-        """Run every benchmark × mechanism × seed cell.
+        """Run every benchmark × mechanism × seed cell, in grid order.
 
-        Returns ``{(benchmark, mechanism name): [result per seed]}``.
-        Memoised cells are recalled; the rest run sequentially or fan out
-        over ``workers`` processes with a deterministic task-order merge,
-        so the outcome is byte-identical either way.
+        Returns ``{(benchmark, mechanism name): [result per seed]}``;
+        memoised cells are recalled, the rest simulated (or lake-served)
+        by :meth:`run_cell`.
         """
         seeds = seeds or [1]
-        if workers is None:
-            workers = api_env.workers_from_env()
         sampling = self._resolve_sampling(sampling)
-        prefilled: set[CellKey] = set()
-        if workers > 1:
-            prefilled = self._prefill_parallel(
-                benchmarks, mechanisms, seeds, warmup, measure, workers,
-                sampling,
-            )
-        out: dict[tuple[str, str], list[SimulationResult]] = {}
-        for benchmark in benchmarks:
-            for mechanism in mechanisms:
-                results = []
-                for seed in seeds:
-                    key = self._key(
-                        benchmark, mechanism, seed, warmup, measure, sampling
-                    )
-                    cached = self._cells.get(key)
-                    if cached is None:
-                        results.append(self.run_cell(
-                            benchmark, mechanism, seed, warmup, measure,
-                            sampling,
-                        ))
-                        continue
-                    if key in prefilled:
-                        # First collection of a cell this very sweep
-                        # computed: already counted as a miss, not a
-                        # memo hit.
-                        prefilled.discard(key)
-                    else:
-                        self.cell_hits += 1
-                    results.append(_copy_result(
-                        cached, benchmark, mechanism.name, seed
-                    ))
-                out[(benchmark, mechanism.name)] = results
-        return out
-
-    def _prefill_parallel(
-        self, benchmarks, mechanisms, seeds, warmup, measure, workers,
-        sampling,
-    ) -> set[CellKey]:
-        """Fan missing cells out over a process pool, merge in task order.
-
-        Tasks carry only the (mechanism, seed) cells actually missing
-        from the memo, at seed granularity, so no cached cell is ever
-        re-simulated and the hit/miss counters stay exact.  Returns the
-        keys filled, so the caller can tell a first collection from a
-        genuine memo hit.
-
-        Collection is *bounded*: each task's result is awaited with a
-        per-task deadline (``REPRO_SHARD_TIMEOUT``), so a hung pool
-        worker — or one the OS killed, whose ``AsyncResult`` would
-        otherwise never resolve — can no longer stall the sweep forever.
-        A task that times out or errors is re-dispatched in-process (the
-        pool's teardown kills any stuck worker), so the merged cell
-        table is identical to an all-healthy run.
-        """
-        lake = self.lake_enabled()
-        tasks = []
-        task_plan = []
-        for benchmark in benchmarks:
-            todo = [
-                (mechanism, seed)
-                for mechanism in mechanisms
+        return {
+            (benchmark, mechanism.name): [
+                self.run_cell(
+                    benchmark, mechanism, seed, warmup, measure, sampling
+                )
                 for seed in seeds
-                if self._key(
-                    benchmark, mechanism, seed, warmup, measure, sampling
-                )
-                not in self._cells
             ]
-            if not todo:
-                continue
-            task_plan.append((benchmark, todo))
-            store = self.simulator.trace_store
-            tasks.append((
-                self.core_config, str(store.root) if store else None,
-                benchmark, todo, warmup, measure, sampling, lake,
-            ))
-        filled: set[CellKey] = set()
-        if not tasks:
-            return filled
-        deadline = api_env.shard_timeout_from_env()
-        with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
-            pending = [
-                pool.apply_async(_run_cells_task, (task,)) for task in tasks
-            ]
-            per_task = []
-            for handle in pending:
-                try:
-                    per_task.append(handle.get(timeout=deadline))
-                except Exception:  # noqa: BLE001 - timeout, worker death,
-                    # or a worker-raised error; all re-dispatched below,
-                    # where a genuine simulation bug re-raises in-parent.
-                    per_task.append(None)
-        for (benchmark, todo), outcome in zip(task_plan, per_task):
-            if outcome is None:
-                # Re-dispatch the lost task in-process, deterministically;
-                # run_cell counts misses and lake traffic exactly as the
-                # worker would have (and may even serve cells a worker
-                # lake-wrote before dying).
-                for mechanism, seed in todo:
-                    self.run_cell(
-                        benchmark, mechanism, seed, warmup, measure, sampling
-                    )
-                    filled.add(self._key(
-                        benchmark, mechanism, seed, warmup, measure, sampling
-                    ))
-                continue
-            results, simulated, lake_hits = outcome
-            # The worker's exact counts: `simulated` cells were actually
-            # run (each a lake miss when the lake is on), the rest were
-            # served from the shared lake.
-            self.cell_misses += simulated
-            self.lake_hits += lake_hits
-            if lake:
-                self.lake_misses += simulated
-            for (mechanism, seed), result in zip(todo, results):
-                key = self._key(
-                    benchmark, mechanism, seed, warmup, measure, sampling
-                )
-                self._cells[key] = result
-                filled.add(key)
-        return filled
+            for benchmark in benchmarks
+            for mechanism in mechanisms
+        }
+
+    def memoised(
+        self, benchmark: str, mechanism: MechanismConfig, seed: int,
+        warmup: int, measure: int, sampling: SamplingConfig,
+    ) -> bool:
+        """Whether :meth:`run_cell` would recall this cell from memory."""
+        return self._key(
+            benchmark, mechanism, seed, warmup, measure, sampling
+        ) in self._cells
+
+    def remember(
+        self, result: SimulationResult, mechanism: MechanismConfig,
+        warmup: int, measure: int, sampling: SamplingConfig,
+    ) -> None:
+        """File a cell simulated elsewhere (a shard worker) in the memo.
+
+        Cells are deterministic, so a digest-verified result from another
+        process is exactly what :meth:`run_cell` would compute; a later
+        sweep in this process recalls it instead of re-simulating.  The
+        hit/miss counters are untouched: nothing ran here.
+        """
+        key = self._key(
+            result.benchmark, mechanism, result.seed, warmup, measure,
+            sampling,
+        )
+        self._cells.setdefault(key, _copy_result(
+            result, result.benchmark, result.mechanism, result.seed
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +513,7 @@ def _smoke(sampled: bool = False) -> int:
     mechanisms = [
         MechanismConfig.baseline(), MechanismConfig.rsep_realistic()
     ]
-    # workers=1: the gate checks memo/store identity via in-process
-    # counters, so it runs sequentially regardless of REPRO_WORKERS
-    # (parallel equivalence has its own test coverage).
-    kwargs = dict(seeds=[1], warmup=512, measure=2000, workers=1)
+    kwargs = dict(seeds=[1], warmup=512, measure=2000)
 
     with tempfile.TemporaryDirectory(prefix="repro-smoke-store-") as root:
         store = TraceStore(root)
@@ -650,9 +524,6 @@ def _smoke(sampled: bool = False) -> int:
             print("smoke: unexpected cell miss count "
                   f"({cold_engine.cell_misses})")
             return 1
-        # Persistence is judged by the artifacts on disk, not the
-        # parent's counters: under REPRO_WORKERS the writes happen in
-        # worker processes.
         stored = list(store.root.glob("*.trace"))
         if len(stored) != len(benchmarks):
             print(f"smoke: store did not persist ({len(stored)} artifacts "
@@ -705,7 +576,6 @@ def _lake_child(root: str, lake_flag: str) -> int:
     )
     results = engine.sweep(
         benchmarks, mechanisms, seeds=[1], warmup=512, measure=2000,
-        workers=1,
     )
     payload = {
         "|".join(key): [dataclasses.asdict(r.stats) for r in cell]

@@ -16,8 +16,8 @@ default*:
 * otherwise ``REPRO_OBS=1`` resolves a process-wide runtime from the
   environment (cached per environment value, so tests flipping the
   variables get fresh runtimes and long-lived processes pay one read).
-  The environment inherits across ``fork``, which is how shard/pool
-  worker processes join the same event directory — each writes its own
+  The environment inherits across ``fork``, which is how shard worker
+  processes join the same event directory — each writes its own
   pid-suffixed stream (the tracer re-expands ``{pid}`` after a fork).
 """
 

@@ -31,7 +31,11 @@ from repro.workloads.columnar import (
     pack_trace,
 )
 from repro.workloads.spec2006 import build_benchmark
-from repro.workloads.store import TraceStore, workload_code_version
+from repro.workloads.store import (
+    TraceStore,
+    model_code_version,
+    workload_code_version,
+)
 from repro.workloads.trace import Trace, execute
 
 #: In-flight margin so traces never run dry mid-window.
@@ -39,16 +43,6 @@ _TRACE_SLACK = 4096
 
 #: Sentinel: "use the environment-configured default store".
 _DEFAULT_STORE = object()
-
-
-def default_windows() -> tuple[int, int]:
-    """Deprecated: use :func:`repro.api.env.window_from_env` (or better,
-    resolve once into a :class:`repro.api.WindowSpec`)."""
-    api_env.deprecated(
-        "repro.pipeline.simulator.default_windows",
-        "repro.api.env.window_from_env",
-    )
-    return api_env.window_from_env()
 
 
 @dataclass
@@ -201,9 +195,11 @@ class Simulator:
     def _checkpoint_token(
         self, mechanisms: MechanismConfig, warmup: int
     ) -> str:
-        """Everything (beyond benchmark/seed) the warmed state depends on."""
+        """Everything (beyond benchmark/seed) the warmed state depends on,
+        the timing-model code included."""
         return "\x00".join((
             workload_code_version(),
+            model_code_version(),
             str(warmup),
             repr(self.core_config),
             mechanisms.fingerprint(),

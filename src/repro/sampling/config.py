@@ -111,15 +111,3 @@ class SamplingConfig:
     @classmethod
     def disabled(cls) -> "SamplingConfig":
         return cls()
-
-    @classmethod
-    def from_environment(cls) -> "SamplingConfig":
-        """Deprecated: use :func:`repro.api.env.sampling_from_env` (or
-        better, build the config explicitly in a spec)."""
-        from repro.api import env as api_env
-
-        api_env.deprecated(
-            "SamplingConfig.from_environment",
-            "repro.api.env.sampling_from_env",
-        )
-        return api_env.sampling_from_env()

@@ -34,7 +34,7 @@ import asyncio
 import multiprocessing
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.api import env as api_env
@@ -216,10 +216,16 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
 
     def _run_in_process(self, spec: ExperimentSpec) -> ShardedSweepResult:
-        """Degradation ladder's last rung: the classic engine path."""
+        """Degradation ladder's last rung: the classic engine path.
+
+        ``shards=0`` keeps :meth:`Session.run` in process (it would
+        otherwise route straight back here); the artifact still records
+        the spec as given.
+        """
         from repro.api.session import Session
 
-        result = Session.for_spec(spec).run(spec)
+        result = Session.for_spec(spec).run(replace(spec, shards=0))
+        result.spec = spec
         return ShardedSweepResult(result=result, mode="in-process")
 
     async def _run_sharded(

@@ -37,10 +37,10 @@ Since the result lake (DESIGN.md §14) the store also holds per-cell
 simulation *results*: small JSON artifacts (``*.cell``) carrying one
 cell's :class:`~repro.pipeline.stats.Stats`, content-addressed on the
 complete cell fingerprint the sweep engine computes (benchmark, seed,
-resolved window, sampling/mechanism/core fingerprints, workload-code
-version, format).  Like traces and checkpoints, anything unreadable —
-truncated, foreign format, digest-mismatched — is a miss the caller
-re-simulates and overwrites.
+resolved window, sampling/mechanism/core fingerprints, workload- and
+model-code versions, format).  Like traces and checkpoints, anything
+unreadable — truncated, foreign format, digest-mismatched — is a miss
+the caller re-simulates and overwrites.
 
 The store location defaults to ``~/.cache/repro/traces`` (honouring
 ``XDG_CACHE_HOME``) and is overridden with ``REPRO_TRACE_STORE``; setting
@@ -119,34 +119,85 @@ def _snapshot_source(path: Path) -> tuple[tuple[str, int, int], bytes]:
     return (str(path), before.st_mtime_ns, before.st_size), data
 
 
+def _source_digest(labelled: list[tuple[str, Path]], cache):
+    """``(stat signature, 16-hex digest)`` of *labelled* source files.
+
+    *cache* is the previous return value: when every file's ``(path,
+    mtime_ns, size)`` still matches it, it is returned as is (one stat
+    per file).  On a miss each file's ``(stat, bytes)`` is snapshotted
+    in a single consistent pass and **both** the signature and the
+    digest derive from that snapshot, so a memoised pair can never mix
+    one version's stats with another version's bytes.
+    """
+    probe = tuple(
+        (str(path), stat.st_mtime_ns, stat.st_size)
+        for path, stat in ((p, p.stat()) for _, p in labelled)
+    )
+    if cache is not None and cache[0] == probe:
+        return cache
+    signature = []
+    digest = hashlib.sha256()
+    for label, path in labelled:
+        stat_signature, data = _snapshot_source(path)
+        signature.append(stat_signature)
+        digest.update(label.encode())
+        digest.update(data)
+    return tuple(signature), digest.hexdigest()[:16]
+
+
 def workload_code_version() -> str:
     """Hash of the workload/ISA/interpreter source (first 16 hex chars).
 
     Cached on the files' ``(path, mtime_ns, size)`` signature: editing any
     versioned module invalidates the memo, so even a process that outlives
-    an edit computes a fresh version and stops serving stale traces.  On
-    a memo miss, each file's ``(stat, bytes)`` is snapshotted in a single
-    consistent pass and **both** the memo signature and the digest derive
-    from that snapshot — the memoised pair can never mix one version's
-    stats with another version's bytes.
+    an edit computes a fresh version and stops serving stale traces.
     """
     global _version_cache
-    sources = _module_sources()
-    probe = tuple(
-        (str(path), stat.st_mtime_ns, stat.st_size)
-        for path, stat in ((p, p.stat()) for p in sources)
+    _version_cache = _source_digest(
+        [(path.name, path) for path in _module_sources()], _version_cache
     )
-    if _version_cache is not None and _version_cache[0] == probe:
-        return _version_cache[1]
-    snapshot = [(path.name, *_snapshot_source(path)) for path in sources]
-    signature = tuple(entry[1] for entry in snapshot)
-    digest = hashlib.sha256()
-    for name, _, data in snapshot:
-        digest.update(name.encode())
-        digest.update(data)
-    version = digest.hexdigest()[:16]
-    _version_cache = (signature, version)
-    return version
+    return _version_cache[1]
+
+
+#: Package-relative prefixes of the ``repro`` sources that cannot change
+#: a simulated result: the CLI and report rendering, the telemetry plane
+#: (bit-identical on or off, CI-gated) and the executors that only move
+#: cells between processes and hosts.  Everything else — timing model,
+#: predictors, memory system, sampling, sweep engine, workloads — is
+#: hashed by :func:`model_code_version`.
+_MODEL_EXCLUDED = (
+    "api/cli.py", "harness/reporting.py", "obs/", "service/", "cluster/",
+)
+
+_model_sources: list[tuple[str, Path]] | None = None
+_model_version_cache: tuple[tuple, str] | None = None
+
+
+def model_code_version() -> str:
+    """Hash of every ``repro`` module that can change a result.
+
+    Joins every key of a cached or remote *result* — lake cells, µarch
+    checkpoints and the cluster handshake — so an edit to the timing
+    model (say, a DRAM latency) can never serve stats simulated by the
+    old code.  The file list is built once per process; each call only
+    re-stats it (about 100 files), re-hashing on any change like
+    :func:`workload_code_version`.
+    """
+    global _model_sources, _model_version_cache
+    if _model_sources is None:
+        root = Path(__file__).resolve().parent.parent
+        _model_sources = [
+            (relative, path)
+            for relative, path in sorted(
+                (path.relative_to(root).as_posix(), path)
+                for path in root.rglob("*.py")
+            )
+            if not relative.startswith(_MODEL_EXCLUDED)
+        ]
+    _model_version_cache = _source_digest(
+        _model_sources, _model_version_cache
+    )
+    return _model_version_cache[1]
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +206,8 @@ def workload_code_version() -> str:
 
 #: Result-lake cell artifact layout version.  Part of every cell key, so
 #: bumping it on an incompatible change makes every old entry a miss
-#: (never a misread).
-CELL_FORMAT = 1
+#: (never a misread).  2: the key gained :func:`model_code_version`.
+CELL_FORMAT = 2
 
 
 def cell_stats_digest(stats: dict) -> str:
@@ -169,18 +220,6 @@ def cell_stats_digest(stats: dict) -> str:
     return hashlib.sha256(
         json.dumps(stats, sort_keys=True).encode()
     ).hexdigest()[:16]
-
-
-def default_store_root() -> Path | None:
-    """Deprecated: use :func:`repro.api.env.store_root_from_env` (or
-    better, a :class:`repro.api.StoreSpec`)."""
-    from repro.api import env as api_env
-
-    api_env.deprecated(
-        "repro.workloads.store.default_store_root",
-        "repro.api.env.store_root_from_env",
-    )
-    return api_env.store_root_from_env()
 
 
 class TraceStore:
@@ -291,7 +330,7 @@ class TraceStore:
         every other artifact writer via
         :func:`repro.common.atomicio.atomic_write_bytes` — guarantees
         readers never see a partial write, and concurrent writers
-        (parallel sweep workers interpreting the same benchmark) race
+        (shard workers interpreting the same benchmark) race
         benignly: both produce identical bytes.
         """
         path = self.path_for(benchmark, seed, version)

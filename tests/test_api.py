@@ -2,10 +2,11 @@
 
 Covers the spec JSON round trip and fingerprint stability, the
 environment overlay precedence (explicit field beats env beats default),
-the ``REPRO_*`` typo guard, the deprecation shims, the versioned
-``RunResult`` artifact (round trip, tamper detection), CLI smoke tests
-for every subcommand, and the golden check that ``Session.run`` of the
-fig4 spec is digest-identical to the legacy runner path.
+the ``REPRO_*`` typo guard, the versioned ``RunResult`` artifact (round
+trip, tamper detection, artifacts of older builds), ``Session.run``
+routing through the shard supervisor, CLI smoke tests for every
+subcommand, and the golden check that ``Session.run`` of the fig4 spec
+is digest-identical to direct sweep-engine cells.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.api.spec import (
     StoreSpec,
     WindowSpec,
 )
-from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import SweepEngine
 from repro.pipeline.config import MechanismConfig
 from repro.pipeline.simulator import Simulator
@@ -107,7 +107,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(benchmarks=("mcf",), seeds=())
         with pytest.raises(ValueError):
-            ExperimentSpec(benchmarks=("mcf",), workers=0)
+            ExperimentSpec(benchmarks=("mcf",), shards=-1)
 
     def test_cells_counts_the_grid(self):
         spec = tiny_spec(seeds=(1, 2, 3))
@@ -128,7 +128,7 @@ class TestSpecSerialisation:
             ),
             store=StoreSpec(path="/tmp/somewhere", columnar=False),
             seeds=(1, 2),
-            workers=2,
+            shards=2,
         )
         restored = ExperimentSpec.from_json(spec.to_json())
         assert restored == spec
@@ -153,7 +153,7 @@ class TestSpecSerialisation:
         )
         assert renamed.fingerprint() == spec.fingerprint()
         other_store = dataclasses.replace(
-            spec, store=StoreSpec(path="/elsewhere"), workers=4
+            spec, store=StoreSpec(path="/elsewhere"), shards=4
         )
         assert other_store.fingerprint() == spec.fingerprint()
 
@@ -292,12 +292,19 @@ class TestEnvOverlay:
 
 
 class TestTypoGuard:
+    # The classic typo, and a retired variable that no longer does
+    # anything (the sweep pool's worker count).
+    UNKNOWN = ("REPRO_MESURE", "REPRO_WORKERS")
+
     def test_unknown_repro_variable_warns_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MESURE", "40000")  # the classic typo
-        api_env._warned_unknown.discard("REPRO_MESURE")
-        with pytest.warns(api_env.UnknownReproVariable, match="REPRO_MESURE"):
+        for name in self.UNKNOWN:
+            monkeypatch.setenv(name, "2")
+            api_env._warned_unknown.discard(name)
+        with pytest.warns(api_env.UnknownReproVariable) as record:
             unknown = api_env.warn_unknown_vars()
-        assert unknown == ["REPRO_MESURE"]
+        assert unknown == sorted(self.UNKNOWN)
+        warned = " ".join(str(warning.message) for warning in record)
+        assert all(name in warned for name in self.UNKNOWN)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             api_env.warn_unknown_vars()  # second call: silent
@@ -306,52 +313,19 @@ class TestTypoGuard:
         monkeypatch.setenv("REPRO_TYPO_STRICT", "1")
         with pytest.raises(ValueError, match="REPRO_TYPO_STRICT"):
             ExperimentSpec.from_env(benchmarks=["mcf"], strict=True)
+        monkeypatch.delenv("REPRO_TYPO_STRICT")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            ExperimentSpec.from_env(benchmarks=["mcf"], strict=True)
 
     def test_known_vars_cover_the_readme_table(self):
         for name in (
             "REPRO_WARMUP", "REPRO_MEASURE", "REPRO_SCALE", "REPRO_SEEDS",
             "REPRO_SAMPLING", "REPRO_INTERVAL", "REPRO_DETAIL_RATIO",
             "REPRO_DETAIL_WARMUP", "REPRO_TRACE_STORE", "REPRO_COLUMNAR",
-            "REPRO_WORKERS", "REPRO_FULL",
+            "REPRO_SHARDS", "REPRO_FULL",
         ):
             assert name in api_env.KNOWN_VARS
-
-
-class TestDeprecationShims:
-    def test_legacy_helpers_warn_and_delegate(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEEDS", "3")
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        from repro.harness.runner import default_seeds
-        from repro.harness.sweep import default_workers
-        from repro.pipeline.simulator import default_windows
-        from repro.sampling import SamplingConfig
-        from repro.workloads.store import default_store_root
-
-        with pytest.deprecated_call():
-            assert default_seeds() == [1, 2, 3]
-        with pytest.deprecated_call():
-            assert default_workers() == 2
-        with pytest.deprecated_call():
-            assert default_windows() == api_env.window_from_env()
-        with pytest.deprecated_call():
-            assert (SamplingConfig.from_environment()
-                    == api_env.sampling_from_env())
-        with pytest.deprecated_call():
-            assert default_store_root() == api_env.store_root_from_env()
-
-    def test_runner_resolves_environment_once(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WARMUP", "512")
-        monkeypatch.setenv("REPRO_MEASURE", "2048")
-        runner = ExperimentRunner(
-            benchmarks=["mcf"],
-            engine=SweepEngine(simulator=Simulator(trace_store=None)),
-        )
-        # The footgun this kills: changing the environment mid-process
-        # used to re-resolve at every run() call.
-        monkeypatch.setenv("REPRO_MEASURE", "9999")
-        assert runner.warmup == 512
-        assert runner.measure == 2048
-        assert runner.sampling is not None  # pinned, not None-follow-env
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +430,141 @@ class TestSessionAndResult:
         assert restored.digest() == result.digest()
 
 
+    def test_artifact_with_the_retired_workers_field_still_loads(self):
+        # Artifacts (and client specs) written before the sweep pool was
+        # retired embed "workers" in their spec.
+        result = private_session().run(tiny_spec())
+        payload = json.loads(result.to_json())
+        payload["spec"]["workers"] = 2
+        restored = RunResult.from_dict(payload)
+        assert restored.spec == result.spec
+        assert restored.fingerprint == result.fingerprint
+        assert restored.digest() == result.digest()
+
+
+class TestShardedSessionRun:
+    """``Session.run`` honours ``spec.shards`` via the shard supervisor."""
+
+    def test_sharded_run_matches_in_process_and_fills_the_memo(
+        self, monkeypatch
+    ):
+        from repro.service.supervisor import ShardSupervisor
+
+        dispatched = []
+        original = ShardSupervisor.run
+
+        def spy(self, spec, shards=None):
+            dispatched.append(spec.cells)
+            return original(self, spec, shards=shards)
+
+        monkeypatch.setattr(ShardSupervisor, "run", spy)
+        spec = tiny_spec(benchmarks=("mcf", "dealII"), shards=2)
+        session = private_session()
+        sharded = session.run(spec)
+        assert dispatched == [spec.cells]
+        in_process = dataclasses.replace(spec, shards=0)
+        assert sharded.digest() == private_session().run(in_process).digest()
+        assert sharded.spec.shards == 2
+        # The merged cells sit in this session's memo: re-running the
+        # spec, in process or sharded, simulates and dispatches nothing.
+        assert session.run(in_process).digest() == sharded.digest()
+        assert session.run(spec).digest() == sharded.digest()
+        assert session.engine.cell_misses == 0
+        assert dispatched == [spec.cells]
+
+    def test_sharded_run_dispatches_only_unmemoised_mechanisms(
+        self, monkeypatch
+    ):
+        from repro.service.supervisor import ShardSupervisor
+
+        dispatched = []
+        original = ShardSupervisor.run
+
+        def spy(self, spec, shards=None):
+            dispatched.append(spec.mechanism_names())
+            return original(self, spec, shards=shards)
+
+        monkeypatch.setattr(ShardSupervisor, "run", spy)
+        session = private_session()
+        baseline_only = tiny_spec(
+            benchmarks=("mcf", "dealII"),
+            mechanisms=(MechanismConfig.baseline(),),
+        )
+        session.run(baseline_only)  # in process: baseline memoised
+        spec = tiny_spec(benchmarks=("mcf", "dealII"), shards=2)
+        result = session.run(spec)
+        assert dispatched == [["rsep-realistic"]]
+        assert result.digest() == private_session().run(
+            dataclasses.replace(spec, shards=0)
+        ).digest()
+
+    def test_holes_raise_instead_of_returning_a_partial_result(
+        self, monkeypatch
+    ):
+        from repro.api.session import IncompleteRun
+
+        monkeypatch.setenv("REPRO_FAULTS", "crash:0:*")  # poison shard 0
+        session = private_session()
+        spec = tiny_spec(benchmarks=("mcf", "dealII"), shards=2)
+        with pytest.raises(IncompleteRun, match="lost to quarantined") as info:
+            session.run(spec)
+        assert info.value.holes
+        assert all(
+            str(hole[0]) in str(info.value) for hole in info.value.holes
+        )
+
+    def test_unsplittable_grid_degrades_in_process_without_recursing(self):
+        # One cell: the supervisor's in-process rung runs it with
+        # shards=0, so Session.run cannot route back into the supervisor.
+        spec = tiny_spec(mechanisms=(MechanismConfig.baseline(),), shards=2)
+        result = private_session().run(spec)
+        assert result.spec == spec
+        assert result.digest() == private_session().run(
+            dataclasses.replace(spec, shards=0)
+        ).digest()
+
+    def test_custom_core_session_refuses_to_shard(self):
+        from repro.pipeline.config import CoreConfig
+
+        session = Session(
+            engine=SweepEngine(simulator=Simulator(
+                CoreConfig(rob_entries=64), trace_store=None
+            ))
+        )
+        with pytest.raises(ValueError, match="default core"):
+            session.run(tiny_spec(shards=2))
+
+    def test_repro_shards_routes_a_figure_through_the_supervisor(
+        self, monkeypatch
+    ):
+        from repro.service.supervisor import ShardSupervisor
+
+        calls = []
+        original = ShardSupervisor.run
+
+        def spy(self, spec, shards=None):
+            calls.append(shards)
+            return original(self, spec, shards=shards)
+
+        monkeypatch.setattr(ShardSupervisor, "run", spy)
+        monkeypatch.setenv("REPRO_SHARDS", "2")
+        sharded, _ = run_figure(
+            "fig4", session=private_session(), benchmarks=["mcf"],
+            window=TINY,
+        )
+        assert calls == [2]
+        assert sharded.spec.shards == 2
+        monkeypatch.delenv("REPRO_SHARDS")
+        reference, _ = run_figure(
+            "fig4", session=private_session(), benchmarks=["mcf"],
+            window=TINY,
+        )
+        assert calls == [2]  # shards=0: in process, no supervisor
+        assert sharded.digest() == reference.digest()
+
+
 # ---------------------------------------------------------------------------
-# Golden: the spec path is digest-identical to the legacy runner path
+# Golden: the spec path is digest-identical to direct engine cells
 # ---------------------------------------------------------------------------
 
 
@@ -465,36 +572,37 @@ class TestGoldenFig4:
     BENCHMARKS = ["mcf", "dealII"]
     WINDOW = WindowSpec(512, 2000)
 
-    def test_session_matches_legacy_runner_bit_for_bit(self):
+    def test_session_matches_direct_engine_cells_bit_for_bit(self):
         spec = figure_spec(
             "fig4", benchmarks=self.BENCHMARKS, window=self.WINDOW
         )
         result = private_session().run(spec)
 
-        runner = ExperimentRunner(
-            benchmarks=self.BENCHMARKS,
-            warmup=self.WINDOW.warmup,
-            measure=self.WINDOW.measure,
-            engine=SweepEngine(simulator=Simulator(trace_store=None)),
-        )
-        runner.run(list(FIG4_MECHANISMS))
-
-        legacy_cells = []
+        engine = SweepEngine(simulator=Simulator(trace_store=None))
+        direct_cells = []
         for benchmark in self.BENCHMARKS:
             for mechanism in FIG4_MECHANISMS:
-                outcome = runner.outcome(benchmark, mechanism.name)
-                for sim in outcome.results:
-                    legacy_cells.append(CellResult(
+                for seed in spec.seeds:
+                    sim = engine.run_cell(
+                        benchmark, mechanism, seed=seed,
+                        warmup=self.WINDOW.warmup,
+                        measure=self.WINDOW.measure,
+                        sampling=spec.sampling,
+                    )
+                    direct_cells.append(CellResult(
                         benchmark, mechanism.name, sim.seed, sim.stats
                     ))
-                # Field-for-field identity, not just digest identity.
-                assert dataclasses.asdict(
-                    outcome.merged_stats[0]
-                ) == dataclasses.asdict(
-                    result.outcome(benchmark, mechanism.name).merged_stats[0]
-                )
-        legacy_result = RunResult(spec=spec, cells=legacy_cells)
-        assert legacy_result.digest() == result.digest()
+                    # Field-for-field identity, not just digest identity.
+                    [via_session] = [
+                        cell for cell in result.cells
+                        if (cell.benchmark, cell.mechanism, cell.seed)
+                        == (benchmark, mechanism.name, seed)
+                    ]
+                    assert dataclasses.asdict(sim.stats) == (
+                        dataclasses.asdict(via_session.stats)
+                    )
+        direct_result = RunResult(spec=spec, cells=direct_cells)
+        assert direct_result.digest() == result.digest()
 
     def test_figures_cli_matches_the_api_path(self, tmp_path, capsys):
         from repro.api.cli import main

@@ -30,23 +30,11 @@ class TestConsoleScriptDeclarations:
 
     def test_declared_targets_resolve(self):
         declared = self._declared_entry_points()
-        assert set(declared) == {"repro", "repro-sweep", "repro-perf"}
+        assert set(declared) == {"repro"}
         for name, (module_name, func_name) in declared.items():
             module = importlib.import_module(module_name)
             target = getattr(module, func_name)
             assert callable(target), name
-
-    def test_deprecated_aliases_note_and_delegate(self, capsys):
-        from repro.api.cli import perf_alias_main, sweep_alias_main
-
-        assert sweep_alias_main([]) == 2  # harness.sweep help path
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--smoke" in captured.out
-
-        with pytest.raises(SystemExit):
-            perf_alias_main(["--mechanism", "nope"])
-        assert "deprecated" in capsys.readouterr().err
 
 
 class TestPerfCli:

@@ -254,7 +254,7 @@ class TestCapabilities:
         assert capability_mismatch(caps) is None
 
     @pytest.mark.parametrize("key", [
-        "protocol", "workload_version", "cell_format",
+        "protocol", "workload_version", "model_version", "cell_format",
     ])
     def test_each_capability_enforced(self, key):
         caps = dict(local_capabilities())

@@ -7,16 +7,14 @@ captured from the pre-refactor reference implementation (seed commit)
 and must never drift — any change to scheduling, wakeup, fast-forward or
 predictor indexing that alters a single counter fails here.
 
-Also covered: same-seed reproducibility, functional-trace prefix reuse,
-the parallel sweep's equivalence to a sequential sweep, and the
-code-generated predictor paths against their generic references.
+Also covered: same-seed reproducibility, functional-trace prefix reuse
+and the code-generated predictor paths against their generic references.
 """
 
 from __future__ import annotations
 
 from repro.common.history import GlobalHistory, PathHistory
 from repro.common.rng import XorShift64
-from repro.harness.runner import ExperimentRunner
 from repro.pipeline.config import MechanismConfig
 from repro.pipeline.simulator import Simulator
 from repro.predictors.distance import DistancePredictor, DistancePredictorConfig
@@ -155,35 +153,6 @@ class TestTracePrefixReuse:
         a = fresh.run_benchmark("mcf", MechanismConfig.baseline(), **kwargs)
         b = reused.run_benchmark("mcf", MechanismConfig.baseline(), **kwargs)
         assert stats_dict(a.stats) == stats_dict(b.stats)
-
-
-class TestParallelSweep:
-    def test_parallel_matches_sequential(self):
-        from repro.harness.sweep import SweepEngine
-
-        mechanisms = [
-            MechanismConfig.baseline(), MechanismConfig.rsep_realistic()
-        ]
-        kwargs = dict(
-            benchmarks=["mcf", "dealII"], seeds=[1, 2],
-            warmup=256, measure=1000,
-        )
-        # Private engines: the shared engine's memo would otherwise serve
-        # the second runner without ever exercising the worker pool.
-        sequential = ExperimentRunner(engine=SweepEngine(), **kwargs)
-        sequential.run(mechanisms)
-        parallel = ExperimentRunner(engine=SweepEngine(), **kwargs)
-        parallel.run(mechanisms, workers=2)
-        for benchmark in kwargs["benchmarks"]:
-            for mechanism in mechanisms:
-                left = sequential.outcome(benchmark, mechanism.name)
-                right = parallel.outcome(benchmark, mechanism.name)
-                assert left.ipc == right.ipc
-                for a, b in zip(left.results, right.results):
-                    assert (a.benchmark, a.mechanism, a.seed) == (
-                        b.benchmark, b.mechanism, b.seed
-                    )
-                    assert stats_dict(a.stats) == stats_dict(b.stats)
 
 
 class _LegacyValidationQueue:

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import repro
 
 from repro.api.session import Session
 from repro.api.spec import ExperimentSpec, StoreSpec, WindowSpec
@@ -249,24 +255,6 @@ class TestPlaneEquivalence:
 
 
 class TestParallelAndSharded:
-    def test_parallel_sweep_populates_and_serves_the_lake(self, tmp_path):
-        mechanisms = [
-            MechanismConfig.baseline(), MechanismConfig.rsep_realistic()
-        ]
-        kwargs = dict(seeds=[1], warmup=256, measure=1000)
-        cold = _engine(tmp_path)
-        first = cold.sweep(["mcf", "dealII"], mechanisms, workers=2, **kwargs)
-        assert cold.cell_misses == 4 and cold.lake_hits == 0
-        assert len(_cell_files(tmp_path)) == 4
-
-        warm = _engine(tmp_path)
-        second = warm.sweep(["mcf", "dealII"], mechanisms, workers=2, **kwargs)
-        assert warm.cell_misses == 0  # zero simulations on the warm lake
-        assert warm.lake_hits == 4
-        for key in first:
-            for a, b in zip(first[key], second[key]):
-                assert stats_dict(a.stats) == stats_dict(b.stats)
-
     def test_sharded_service_populates_the_shared_lake(self, tmp_path):
         spec = ExperimentSpec(
             benchmarks=("mcf", "dealII"),
@@ -281,8 +269,9 @@ class TestParallelAndSharded:
         assert not outcome.holes
         assert len(_cell_files(tmp_path)) == 2  # shards wrote the lake
 
+        # In process (shards=0): this session's own engine reads the lake.
         warm = Session(store=spec.store)
-        result = warm.run(spec)
+        result = warm.run(dataclasses.replace(spec, shards=0))
         assert warm.engine.cell_misses == 0
         assert warm.engine.lake_hits == 2
         assert result.digest() == outcome.result.digest()
@@ -359,3 +348,78 @@ class TestVersionSnapshot:
         assert store_module.workload_code_version() == first  # memo hit
         source.write_text("A = 2\n")
         assert store_module.workload_code_version() != first
+
+
+# ---------------------------------------------------------------------------
+# Timing-model code identity: an edited model never serves old results
+# ---------------------------------------------------------------------------
+
+#: One lake-on full-detail cell and one checkpointed sampled run of mcf
+#: on the store at argv[1]; prints the lake and checkpoint counters.
+_PROBE = """
+import json, sys
+from repro.harness.sweep import SweepEngine
+from repro.pipeline.config import MechanismConfig
+from repro.pipeline.simulator import Simulator
+from repro.sampling import SamplingConfig
+from repro.workloads.store import TraceStore
+
+store = TraceStore(sys.argv[1])
+engine = SweepEngine(simulator=Simulator(trace_store=store), result_lake=True)
+engine.run_cell("mcf", MechanismConfig.baseline(), seed=1, warmup=256,
+                measure=2000)
+Simulator(trace_store=store).run_benchmark(
+    "mcf", MechanismConfig.baseline(), warmup=256, measure=2000, seed=1,
+    sampling=SamplingConfig(enabled=True, interval=1000, detail_ratio=0.25,
+                            detail_warmup=128),
+)
+print(json.dumps({"lake_hits": engine.lake_hits,
+                  "simulated": engine.cell_misses,
+                  "checkpoint_hits": store.checkpoint_hits}))
+"""
+
+
+class TestModelCodeIdentity:
+    def test_model_version_covers_timing_code_only(self):
+        store_module.model_code_version()
+        hashed = {relative for relative, _ in store_module._model_sources}
+        assert {"memory/dram.py", "pipeline/core.py",
+                "harness/sweep.py", "workloads/kernels.py"} <= hashed
+        for excluded in ("api/cli.py", "harness/reporting.py",
+                         "obs/tracer.py", "service/supervisor.py",
+                         "cluster/dispatch.py"):
+            assert excluded not in hashed
+
+    def test_timing_model_edit_misses_lake_and_checkpoints(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent, package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        store_root = tmp_path / "store"
+
+        def probe() -> dict:
+            env = dict(os.environ, PYTHONPATH=str(package.parent))
+            proc = subprocess.run(
+                [sys.executable, "-c", _PROBE, str(store_root)],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            return json.loads(proc.stdout.strip().splitlines()[-1])
+
+        assert probe()["simulated"] == 1
+        assert probe() == {
+            "lake_hits": 1, "simulated": 0, "checkpoint_hits": 1,
+        }
+        # A DRAM latency edit changes the stats without touching any
+        # workload source: both caches must stop serving.
+        dram = package / "memory" / "dram.py"
+        source = dram.read_text(encoding="utf-8")
+        line = "latency = queue_delay + service\n"
+        assert line in source
+        dram.write_text(
+            source.replace(line, "latency = queue_delay + service + 300\n"),
+            encoding="utf-8",
+        )
+        assert probe() == {
+            "lake_hits": 0, "simulated": 1, "checkpoint_hits": 0,
+        }

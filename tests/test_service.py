@@ -624,70 +624,6 @@ class TestServiceCli:
 
 
 # ---------------------------------------------------------------------------
-# Hardened parallel prefill (satellite: no stall on hung/dead workers)
-# ---------------------------------------------------------------------------
-
-
-def _hang_mcf_task(payload):
-    """Module-level (fork-picklable) wrapper: hang on mcf's task."""
-    if payload[2] == "mcf":
-        time.sleep(600)
-    return _real_run_cells_task(payload)
-
-
-def _crash_mcf_task(payload):
-    import os
-
-    if payload[2] == "mcf":
-        os._exit(17)
-    return _real_run_cells_task(payload)
-
-
-from repro.harness.sweep import _run_cells_task as _real_run_cells_task
-
-
-class TestPrefillHardening:
-    def _sequential(self):
-        from repro.harness.sweep import SweepEngine
-
-        engine = SweepEngine()
-        return engine.sweep(
-            ["mcf", "dealII"], list(default_mechanisms()),
-            seeds=[1], warmup=128, measure=512, workers=1,
-        )
-
-    def _parallel_with(self, monkeypatch, task):
-        from repro.harness import sweep as sweep_module
-
-        monkeypatch.setattr(sweep_module, "_run_cells_task", task)
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "2.0")
-        engine = sweep_module.SweepEngine()
-        return engine.sweep(
-            ["mcf", "dealII"], list(default_mechanisms()),
-            seeds=[1], warmup=128, measure=512, workers=2,
-        )
-
-    def test_hung_pool_worker_no_longer_stalls_the_sweep(self, monkeypatch):
-        from helpers import stats_dict
-
-        sequential = self._sequential()
-        parallel = self._parallel_with(monkeypatch, _hang_mcf_task)
-        assert set(parallel) == set(sequential)
-        for key in sequential:
-            for a, b in zip(sequential[key], parallel[key]):
-                assert stats_dict(a.stats) == stats_dict(b.stats)
-
-    def test_dead_pool_worker_is_redispatched(self, monkeypatch):
-        from helpers import stats_dict
-
-        sequential = self._sequential()
-        parallel = self._parallel_with(monkeypatch, _crash_mcf_task)
-        for key in sequential:
-            for a, b in zip(sequential[key], parallel[key]):
-                assert stats_dict(a.stats) == stats_dict(b.stats)
-
-
-# ---------------------------------------------------------------------------
 # Crash-safe artifact writes (satellite)
 # ---------------------------------------------------------------------------
 

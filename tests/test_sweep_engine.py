@@ -1,10 +1,11 @@
-"""Sweep engine: cell memoisation, fingerprinting, runner integration."""
+"""Sweep engine: cell memoisation, fingerprinting, session integration."""
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.harness.runner import ExperimentRunner
+from repro.api.session import Session
+from repro.api.spec import ExperimentSpec, WindowSpec
 from repro.harness.sweep import (
     SweepEngine,
     mechanism_fingerprint,
@@ -12,7 +13,6 @@ from repro.harness.sweep import (
 )
 from repro.pipeline.config import CoreConfig, MechanismConfig
 from repro.pipeline.simulator import Simulator
-from repro.workloads.store import TraceStore
 
 
 from helpers import stats_dict  # noqa: E402  (shared test helper)
@@ -120,56 +120,35 @@ class TestSweep:
             for a, b in zip(results[key], again[key]):
                 assert stats_dict(a.stats) == stats_dict(b.stats)
 
-    def test_parallel_sweep_matches_sequential(self, tmp_path):
-        mechanisms = [
-            MechanismConfig.baseline(), MechanismConfig.rsep_realistic()
-        ]
-        kwargs = dict(seeds=[1, 2], warmup=256, measure=1000)
-        sequential = _engine().sweep(["mcf", "dealII"], mechanisms, **kwargs)
-        parallel_engine = SweepEngine(
-            simulator=Simulator(trace_store=TraceStore(tmp_path))
-        )
-        parallel = parallel_engine.sweep(
-            ["mcf", "dealII"], mechanisms, workers=2, **kwargs
-        )
-        # A cold parallel sweep is all misses — collecting the cells the
-        # prefill just computed must not read as memo hits.
-        assert parallel_engine.cell_misses == 8
-        assert parallel_engine.cell_hits == 0
-        for key in sequential:
-            for a, b in zip(sequential[key], parallel[key]):
-                assert (a.benchmark, a.mechanism, a.seed) == (
-                    b.benchmark, b.mechanism, b.seed
-                )
-                assert stats_dict(a.stats) == stats_dict(b.stats)
+def _spec(*mechanisms: MechanismConfig) -> ExperimentSpec:
+    return ExperimentSpec(
+        benchmarks=("mcf",), mechanisms=mechanisms,
+        window=WindowSpec(warmup=256, measure=1000),
+    )
 
 
 class TestRunnerIntegration:
     def test_runner_on_engine_matches_direct_simulation(self):
-        engine = _engine()
-        runner = ExperimentRunner(
-            benchmarks=["mcf"], seeds=[1], warmup=256, measure=1000,
-            engine=engine,
+        result = Session(engine=_engine()).run(
+            _spec(MechanismConfig.baseline(), MechanismConfig.rsep_ideal())
         )
-        runner.run([MechanismConfig.baseline(), MechanismConfig.rsep_ideal()])
         fresh = Simulator(trace_store=None).run_benchmark(
             "mcf", MechanismConfig.baseline(),
             warmup=256, measure=1000, seed=1,
         )
-        outcome = runner.outcome("mcf", "baseline")
+        outcome = result.outcome("mcf", "baseline")
         assert stats_dict(outcome.results[0].stats) == stats_dict(fresh.stats)
-        assert runner.speedup("mcf", "rsep") == (
-            runner.outcome("mcf", "rsep").ipc / outcome.ipc - 1.0
+        assert result.speedup("mcf", "rsep") == (
+            result.outcome("mcf", "rsep").ipc / outcome.ipc - 1.0
         )
 
     def test_two_runners_share_one_engine(self):
         engine = _engine()
-        kwargs = dict(benchmarks=["mcf"], seeds=[1], warmup=256,
-                      measure=1000, engine=engine)
-        ExperimentRunner(**kwargs).run([MechanismConfig.baseline()])
+        spec = _spec(MechanismConfig.baseline())
+        Session(engine=engine).run(spec)
         assert engine.cell_misses == 1
-        ExperimentRunner(**kwargs).run([MechanismConfig.baseline()])
-        assert engine.cell_misses == 1  # second runner recalled the cell
+        Session(engine=engine).run(spec)
+        assert engine.cell_misses == 1  # second session recalled the cell
 
     def test_shared_engine_serves_custom_config_via_variant(self):
         default_engine = shared_engine()
@@ -225,14 +204,10 @@ class TestRunnerIntegration:
         assert stats_dict(via_variant.stats) == stats_dict(private.stats)
 
     def test_runner_reuses_engine_variant_for_custom_config(self):
-        engine = _engine()
         custom = CoreConfig(rob_entries=64)
-        runner = ExperimentRunner(
-            core_config=custom, benchmarks=["mcf"], seeds=[1],
-            warmup=256, measure=1000, engine=engine,
-        )
-        assert runner.engine is engine.variant(custom)
-        assert runner.engine.core_config == custom
+        session = Session(core_config=custom)
+        assert session.engine is shared_engine().variant(custom)
+        assert session.engine.core_config == custom
 
 
 class TestSmokeGate:

@@ -94,7 +94,6 @@ def _spec_summary(spec: ExperimentSpec) -> str:
         f"store       : "
         + ("disabled" if not spec.store.enabled
            else (spec.store.path or "default cache"))
-        + f", columnar {'on' if spec.store.columnar else 'off'}"
         + f", lake {'on' if spec.store.result_lake else 'off'}",
         f"shards      : {spec.shards if spec.shards > 1 else 'in-process'}",
         f"cells       : {spec.cells}",
@@ -610,7 +609,6 @@ def _cmd_profile(args) -> int:
             warmup=args.warmup,
             measure=args.measure,
             sampling=sampling,
-            combos=args.combos,
         )
     except (KeyError, ValueError) as error:
         print(f"repro profile: {error}", file=sys.stderr)
@@ -837,8 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "defaults to the environment's store root)")
 
     profile = sub.add_parser(
-        "profile", help="per-stage wall attribution across compute "
-        "planes (+ the obs overhead gate)"
+        "profile", help="per-stage wall attribution (+ the obs overhead "
+        "gate)"
     )
     profile.add_argument("--benchmark", action="append", dest="benchmarks",
                          metavar="NAME",
@@ -851,10 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--measure", type=int, default=None,
                          help="measured instructions (default: "
                          "REPRO_MEASURE)")
-    profile.add_argument("--combos", choices=("all", "current"),
-                         default="all",
-                         help="profile all four genrename × vecwarm "
-                         "planes, or only the environment's (default: all)")
     profile.add_argument("--full-detail", action="store_true",
                          help="profile a full-detail run instead of a "
                          "sampled one (no warm phase)")

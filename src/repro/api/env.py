@@ -55,21 +55,9 @@ KNOWN_VARS: dict[str, tuple[str, str]] = {
         "ExperimentSpec.store.path",
         "trace/checkpoint store root ('off' disables)",
     ),
-    "REPRO_COLUMNAR": (
-        "ExperimentSpec.store.columnar",
-        "packed-column runtime trace plane (default on)",
-    ),
     "REPRO_RESULT_LAKE": (
         "ExperimentSpec.store.result_lake",
         "spec-level result lake: serve cells from the store (default off)",
-    ),
-    "REPRO_GENRENAME": (
-        "pipeline.genrename install gate",
-        "generated per-mechanism rename/issue loops (default on)",
-    ),
-    "REPRO_VECWARM": (
-        "sampling.vecwarm warmer selection",
-        "NumPy-vectorised functional warming (default on; needs numpy)",
     ),
     "REPRO_SHARDS": (
         "ExperimentSpec.shards",
@@ -256,35 +244,6 @@ def connect_timeout_from_env() -> float:
     return 5.0
 
 
-def columnar_from_env() -> bool:
-    """Whether the runtime consumes packed columns (default on).
-
-    ``REPRO_COLUMNAR=0`` selects the legacy eager-``DynInst`` trace
-    plane — kept alive as the differential-testing oracle (DESIGN.md §9).
-    """
-    return flag(os.environ.get("REPRO_COLUMNAR"), default=True)
-
-
-def genrename_enabled() -> bool:
-    """Whether pipelines install the generated rename/issue loops.
-
-    ``REPRO_GENRENAME=0`` keeps the generic ``Pipeline._rename`` /
-    ``_issue`` methods live — the differential oracle the golden
-    equivalence suite pins the generated plane against (DESIGN.md §12).
-    """
-    return flag(os.environ.get("REPRO_GENRENAME"), default=True)
-
-
-def vecwarm_enabled() -> bool:
-    """Whether sampled runs use the NumPy-vectorised functional warmer.
-
-    ``REPRO_VECWARM=0`` (or NumPy being unavailable) selects the pure-
-    Python ``FunctionalWarmer`` — the bit-identical fallback plane
-    (DESIGN.md §12).
-    """
-    return flag(os.environ.get("REPRO_VECWARM"), default=True)
-
-
 def store_setting_from_env() -> tuple[str | None, bool]:
     """``REPRO_TRACE_STORE`` as ``(explicit path or None, enabled)``.
 
@@ -335,8 +294,7 @@ def obs_enabled() -> bool:
     Off is the contract, not just the default: with the variable unset
     the pipeline runs the identical step sequence, stats and artifact
     digests are bit-identical, and no event file is ever opened
-    (DESIGN.md §13) — gated exactly like ``REPRO_COLUMNAR=0`` gates the
-    trace planes.
+    (DESIGN.md §13).
     """
     return flag(os.environ.get("REPRO_OBS"))
 

@@ -70,7 +70,6 @@ class Session:
                     trace_store=(
                         TraceStore(root) if root is not None else None
                     ),
-                    columnar=store.columnar,
                 ),
                 # Pinned, not env-following: an explicit spec always
                 # wins over ambient state (shared-engine sessions follow
@@ -88,8 +87,8 @@ class Session:
         The shared engine is used only when the spec's store agrees
         with what the environment resolves to anyway — then sharing is
         observationally equivalent and buys the cross-run memo.  Any
-        disagreement (an explicit path, a pinned ``columnar`` that the
-        environment contradicts) gets a private engine with the spec's
+        disagreement (an explicit path, a pinned ``result_lake`` that
+        the environment contradicts) gets a private engine with the spec's
         settings, so an explicit spec always wins over ambient state.
         (One documented exception: ``path=None`` means "the default
         cache location" and resolves through the environment, so a

@@ -56,28 +56,24 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class StoreSpec:
-    """Trace-store and trace-plane configuration.
+    """Trace-store configuration.
 
     ``path=None`` means the default cache location; ``enabled=False``
-    disables persistence entirely.  ``columnar`` selects the packed
-    runtime trace plane (DESIGN.md §9) — the default; the eager plane
-    survives as the differential-testing oracle.  ``result_lake``
-    (default off) additionally serves per-cell ``Stats`` artifacts from
-    the store before simulating and populates them after (DESIGN.md
-    §14).  None of these affect simulation *results* (lake-served cells
-    are digest-identical to fresh runs, gated by the incremental-sweep
-    CI gate), so the store never joins the spec fingerprint.
+    disables persistence entirely.  ``result_lake`` (default off)
+    additionally serves per-cell ``Stats`` artifacts from the store
+    before simulating and populates them after (DESIGN.md §14).  None of
+    these affect simulation *results* (lake-served cells are
+    digest-identical to fresh runs, gated by the incremental-sweep CI
+    gate), so the store never joins the spec fingerprint.
     """
 
     path: str | None = None
     enabled: bool = True
-    columnar: bool = True
     result_lake: bool = False
 
     @classmethod
     def from_env(cls) -> "StoreSpec":
-        """``REPRO_TRACE_STORE`` / ``REPRO_COLUMNAR`` /
-        ``REPRO_RESULT_LAKE``.
+        """``REPRO_TRACE_STORE`` / ``REPRO_RESULT_LAKE``.
 
         An unset store variable yields ``path=None`` (the default cache
         location), NOT a materialised absolute path: a pristine
@@ -90,7 +86,6 @@ class StoreSpec:
         return cls(
             path=path,
             enabled=enabled,
-            columnar=env.columnar_from_env(),
             result_lake=env.result_lake_from_env(),
         )
 
@@ -271,12 +266,19 @@ class ExperimentSpec:
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
         if isinstance(payload, dict):
             # Artifacts and client requests from before the sweep pool
-            # was retired carry a ``workers`` field; it never changed a
-            # result, so it is dropped rather than rejected.
+            # and the eager trace plane were retired carry ``workers``
+            # and ``store.columnar`` fields; neither ever changed a
+            # result, so both are dropped rather than rejected.
             payload = {
                 key: value for key, value in payload.items()
                 if key != "workers"
             }
+            store = payload.get("store")
+            if isinstance(store, dict):
+                payload["store"] = {
+                    key: value for key, value in store.items()
+                    if key != "columnar"
+                }
         spec = codec.decode(payload)
         if not isinstance(spec, cls):
             raise ValueError(

@@ -138,7 +138,6 @@ class SweepEngine:
                 simulator=Simulator(
                     core_config,
                     trace_store=self.simulator.trace_store,
-                    columnar=self.simulator.columnar,
                 ),
                 sampling=self.sampling,
                 result_lake=self.result_lake,

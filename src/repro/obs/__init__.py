@@ -1,8 +1,7 @@
 """The telemetry plane (DESIGN.md §13): tracing, metrics, profiling.
 
-Everything here defaults **off** and is gated exactly like the compute
-planes (``REPRO_COLUMNAR=0`` / ``REPRO_GENRENAME=0``): with ``REPRO_OBS``
-unset the simulator runs the identical step sequence, produces
+Everything here defaults **off**: with ``REPRO_OBS`` unset the
+simulator runs the identical step sequence, produces
 bit-identical stats and digest-identical artifacts, and pays no
 measurable overhead.  With ``REPRO_OBS=1`` (or an enabled
 :class:`ObsSpec` on the experiment spec):

@@ -4,12 +4,12 @@ Two tools in one module:
 
 * :func:`phase_profile` runs the perf harness's protocol (trace built
   outside the timed region, fresh pipeline per run) with every pipeline
-  stage wrapped in a wall-clock accumulator, across the four compute-
-  plane combinations (generated vs generic rename/issue × vectorised vs
-  pure warming — DESIGN.md §12), and emits one comparable, versioned
-  JSON payload.  Stage wrapping is instance-attribute shadowing — the
-  same binding trick the columnar fetch and generated loops use — so
-  whatever plane is installed is exactly what gets attributed.
+  stage wrapped in a wall-clock accumulator on the one runtime plane
+  (columnar fetch, generated rename/issue — DESIGN.md §12), and emits
+  one comparable, versioned JSON payload.  Stage wrapping is
+  instance-attribute shadowing — the same binding trick the columnar
+  fetch and generated loops use — so whatever is installed is exactly
+  what gets attributed.
 * :func:`overhead_gate` is the observability plane's own CI gate: it
   A/B-times the identical run with obs off and on (interleaved repeats,
   best-of), requires bit-identical stats and an on-plane throughput
@@ -30,8 +30,9 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 
-#: Profile payload layout version.
-PROFILE_FORMAT = 1
+#: Profile payload layout version (2: one plane, stage results at the
+#: top level instead of a ``combos`` map).
+PROFILE_FORMAT = 2
 
 #: Stage name -> the pipeline attribute it times.  ``idle`` is the
 #: event-driven fast-forward (DESIGN.md §7); ``interp`` (trace build)
@@ -43,9 +44,6 @@ STAGE_ATTRS: tuple[tuple[str, str], ...] = (
     ("fetch", "_fetch"),
     ("idle", "_fast_forward_idle"),
 )
-
-#: The four compute-plane combinations (genrename, vecwarm).
-ALL_COMBOS: tuple[tuple[int, int], ...] = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 DEFAULT_BENCHMARKS: tuple[str, ...] = ("mcf", "bzip2")
 
@@ -72,10 +70,9 @@ def _env_overrides(**overrides: str | None):
 def _instrument_stages(pipeline, acc: dict[str, float]) -> None:
     """Shadow each stage with a timing wrapper accumulating into *acc*.
 
-    ``getattr`` picks up whatever is installed — generic class methods,
-    generated loops, the columnar fetch — and the wrapper becomes the
-    instance attribute ``_step`` dispatches to, so attribution follows
-    the active plane automatically.
+    ``getattr`` picks up whatever is installed — generated loops, the
+    columnar fetch, class methods — and the wrapper becomes the instance
+    attribute ``_step`` dispatches to.
     """
     clock = time.perf_counter
     for stage, attr in STAGE_ATTRS:
@@ -91,16 +88,16 @@ def _instrument_stages(pipeline, acc: dict[str, float]) -> None:
         setattr(pipeline, attr, timed)
 
 
-def _profile_combo(benchmarks, mechanism, warmup: int, measure: int,
-                   sampling, seed: int) -> dict:
-    """Stage attribution for one compute-plane combination."""
+def _profile_stages(benchmarks, mechanism, warmup: int, measure: int,
+                    sampling, seed: int) -> dict:
+    """Stage attribution over *benchmarks*."""
     from repro.pipeline.core import Pipeline
     from repro.pipeline.simulator import _TRACE_SLACK, Simulator
     from repro.sampling import SampledRun
 
     clock = time.perf_counter
     # A private, store-less simulator: interpretation really runs (and
-    # is really timed) for this combo instead of hitting a shared cache.
+    # is really timed) instead of hitting a shared cache.
     simulator = Simulator(trace_store=None)
     stages = {name: 0.0 for name, _ in STAGE_ATTRS}
     stages["interp"] = 0.0
@@ -152,14 +149,11 @@ def phase_profile(
     warmup: int | None = None,
     measure: int | None = None,
     sampling=None,
-    combos: str = "all",
     seed: int = 1,
 ) -> dict:
-    """Per-stage wall attribution across the compute-plane combinations.
+    """Per-stage wall attribution of one profiled run.
 
-    ``combos="all"`` runs all four genrename × vecwarm planes;
-    ``"current"`` profiles only the environment's active plane.  The
-    default run is sampled (so warming shows up as a phase); pass an
+    The default run is sampled (so warming shows up as a phase); pass an
     inactive *sampling* for a full-detail profile.
     """
     from repro.api import env as api_env
@@ -172,21 +166,6 @@ def phase_profile(
     if sampling is None:
         sampling = replace(api_env.sampling_from_env(), enabled=True)
     mechanism = MechanismConfig.preset(mechanism_name)
-    results: dict[str, dict] = {}
-    if combos == "current":
-        selected = [(
-            int(api_env.genrename_enabled()), int(api_env.vecwarm_enabled())
-        )]
-    else:
-        selected = list(ALL_COMBOS)
-    for genrename, vecwarm in selected:
-        with _env_overrides(
-            REPRO_GENRENAME=str(genrename), REPRO_VECWARM=str(vecwarm)
-        ):
-            key = f"genrename={genrename},vecwarm={vecwarm}"
-            results[key] = _profile_combo(
-                benchmarks, mechanism, warmup, measure, sampling, seed
-            )
     return {
         "format": PROFILE_FORMAT,
         "unit": "seconds of wall clock per stage (instrumented run)",
@@ -196,7 +175,9 @@ def phase_profile(
         "measure": measure,
         "sampled": bool(sampling is not None and sampling.active),
         "seed": seed,
-        "combos": results,
+        **_profile_stages(
+            benchmarks, mechanism, warmup, measure, sampling, seed
+        ),
     }
 
 
@@ -208,27 +189,25 @@ def render_profile(payload: dict) -> str:
         f"warmup {payload['warmup']}, measure {payload['measure']}, "
         f"{'sampled' if payload['sampled'] else 'full detail'}",
     ]
-    for combo, result in payload["combos"].items():
-        # Interpretation is timed outside the pipeline-run wall, so
-        # shares are of the combined (interp + run) total.
-        wall = (
-            result["wall_seconds"]
-            + result["stages_seconds"].get("interp", 0.0)
-        ) or 1e-9
-        lines.append(f"\n[{combo}]  run wall {result['wall_seconds']:.3f}s "
-                     f"(+ interp), "
-                     f"~{result['kips_instrumented']:.0f} KIPS instrumented")
-        stage_items = sorted(
-            result["stages_seconds"].items(),
-            key=lambda item: -item[1],
-        )
-        for stage, seconds in stage_items:
-            share = 100.0 * seconds / wall
-            lines.append(f"  {stage:<8} {seconds:>8.3f}s  {share:5.1f}%")
-        lines.append(
-            f"  {'other':<8} {result['other_seconds']:>8.3f}s  "
-            f"{100.0 * result['other_seconds'] / wall:5.1f}%"
-        )
+    # Interpretation is timed outside the pipeline-run wall, so shares
+    # are of the combined (interp + run) total.
+    wall = (
+        payload["wall_seconds"]
+        + payload["stages_seconds"].get("interp", 0.0)
+    ) or 1e-9
+    lines.append(f"run wall {payload['wall_seconds']:.3f}s (+ interp), "
+                 f"~{payload['kips_instrumented']:.0f} KIPS instrumented")
+    stage_items = sorted(
+        payload["stages_seconds"].items(),
+        key=lambda item: -item[1],
+    )
+    for stage, seconds in stage_items:
+        share = 100.0 * seconds / wall
+        lines.append(f"  {stage:<8} {seconds:>8.3f}s  {share:5.1f}%")
+    lines.append(
+        f"  {'other':<8} {payload['other_seconds']:>8.3f}s  "
+        f"{100.0 * payload['other_seconds'] / wall:5.1f}%"
+    )
     return "\n".join(lines)
 
 

@@ -106,7 +106,7 @@ def current() -> ObsRuntime | None:
     """The active runtime, or ``None`` (the overhead-free default).
 
     The environment path re-checks ``REPRO_OBS`` on each call — a single
-    dict read when off, exactly like ``genrename_enabled()`` — and
+    dict read when off — and
     caches the built runtime keyed on the three variables' values, so a
     mid-process environment change (tests, the overhead gate's A/B loop)
     swaps runtimes instead of going stale.
@@ -151,8 +151,8 @@ def activated(spec: ObsSpec | None):
     """Install *spec*'s runtime for a scope (no-op unless enabled).
 
     A disabled spec does **not** suppress an environment-resolved
-    runtime — ``REPRO_OBS=1`` observes legacy paths exactly like
-    ``REPRO_COLUMNAR`` steers them — it simply declines to install one.
+    runtime — ``REPRO_OBS=1`` still observes paths that carry no spec
+    — it simply declines to install one.
     """
     global _installed
     if spec is None or not spec.enabled:

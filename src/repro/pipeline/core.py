@@ -54,6 +54,7 @@ from repro.isa.opcodes import FuClass
 from repro.isa.registers import FP_BASE, RegClass, reg_class
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import CoreConfig, MechanismConfig
+from repro.pipeline.genrename import install_fast_stages
 from repro.pipeline.stats import Stats
 from repro.predictors.zero import ZeroPredictor
 from repro.rename.free_list import FreeList
@@ -239,14 +240,9 @@ class Pipeline:
 
         # Generated compute plane (DESIGN.md §12): bind per-mechanism
         # specialised rename/issue loops as instance attributes, exactly
-        # like the columnar fetch binding above.  REPRO_GENRENAME=0
-        # keeps the generic methods live as the differential oracle.
-        from repro.api.env import genrename_enabled
-
-        if genrename_enabled():
-            from repro.pipeline.genrename import install_fast_stages
-
-            install_fast_stages(self)
+        # like the columnar fetch binding above.  The generic class
+        # methods stay as the tests' differential oracle.
+        install_fast_stages(self)
 
         # Telemetry plane (DESIGN.md §13): a metrics hub samples this
         # pipeline every N committed instructions — but only when an

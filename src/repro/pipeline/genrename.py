@@ -23,9 +23,9 @@ tests and documented in DESIGN.md §12):
   the LSQ lists/buckets rebuild on squash) are re-hoisted from their
   owner on every call, never embedded;
 * generated bodies mirror the generic loops statement for statement —
-  the generic ``_rename``/``_issue`` stay live as the differential
-  oracle behind ``REPRO_GENRENAME=0`` and the golden suites pin both
-  planes digest-identical.
+  the generic ``_rename``/``_issue`` stay as the differential oracle
+  (the tests drop the instance bindings to run them) and the golden
+  suites pin both planes digest-identical.
 """
 
 from __future__ import annotations

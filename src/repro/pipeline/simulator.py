@@ -25,11 +25,7 @@ from repro.sampling import (
     restore_checkpoint,
 )
 from repro.sampling.checkpoint import CHECKPOINT_FORMAT
-from repro.workloads.columnar import (
-    ColumnarTrace,
-    columnar_enabled,
-    pack_trace,
-)
+from repro.workloads.columnar import ColumnarTrace, pack_trace
 from repro.workloads.spec2006 import build_benchmark
 from repro.workloads.store import (
     TraceStore,
@@ -73,7 +69,6 @@ class Simulator:
         self,
         core_config: CoreConfig | None = None,
         trace_store: TraceStore | None = _DEFAULT_STORE,  # type: ignore
-        columnar: bool | None = None,
     ) -> None:
         self.core_config = core_config or CoreConfig()
         self.trace_store = (
@@ -81,21 +76,15 @@ class Simulator:
             if trace_store is _DEFAULT_STORE
             else trace_store
         )
-        #: Trace-plane selection: ``None`` follows the environment
-        #: (``REPRO_COLUMNAR``); an explicit bool (from a
-        #: :class:`~repro.api.spec.StoreSpec`) pins it for this
-        #: simulator.  Either plane yields bit-identical stats
-        #: (tests/test_columnar_equivalence.py).
-        self.columnar = columnar
         # (benchmark, seed, version) -> (trace, budget it was built for).
         # The workload-code version is part of the key so editing e.g.
         # workloads/kernels.py mid-process can never serve a stale trace.
         self._trace_cache: dict[
-            tuple[str, int, str], tuple[Trace | ColumnarTrace, int]
+            tuple[str, int, str], tuple[ColumnarTrace, int]
         ] = {}
 
     def trace_for(self, benchmark: str, seed: int,
-                  instructions: int) -> Trace | ColumnarTrace:
+                  instructions: int) -> ColumnarTrace:
         """Build (and cache) the functional trace for one checkpoint.
 
         The interpreter is deterministic, so a trace built for N
@@ -106,11 +95,10 @@ class Simulator:
         is the complete execution and covers any request.
 
         Lookup order: in-memory cache, then the on-disk store, then
-        interpretation (which also populates the store).  In columnar
-        mode (``REPRO_COLUMNAR``, default on — DESIGN.md §9) the cached
-        value is a :class:`ColumnarTrace`: cold interpretation packs the
-        fresh trace once and both the store write and the runtime view
-        share that payload.
+        interpretation (which also populates the store).  The cached
+        value is a :class:`ColumnarTrace` (DESIGN.md §9): cold
+        interpretation packs the fresh trace once and both the store
+        write and the runtime view share that payload.
         """
         version = workload_code_version()
         key = (benchmark, seed, version)
@@ -119,14 +107,9 @@ class Simulator:
             trace, covered = entry
             if instructions <= covered or len(trace) < covered:
                 return trace
-        columnar = (
-            columnar_enabled() if self.columnar is None else self.columnar
-        )
         store = self.trace_store
         if store is not None:
-            stored = store.load(
-                benchmark, seed, instructions, version, columnar=columnar
-            )
+            stored = store.load(benchmark, seed, instructions, version)
             if stored is not None:
                 self._trace_cache[key] = stored
                 return stored[0]
@@ -135,20 +118,18 @@ class Simulator:
             "trace.interp", benchmark=benchmark, seed=seed,
             instructions=instructions,
         ):
-            trace = execute(built.program, instructions, built.machine())
-        if columnar:
-            payload = pack_trace(trace, instructions)
-            packed = ColumnarTrace.from_payload(payload)
-            # Seed the row cache with the freshly interpreted objects:
-            # they are field-identical to decoded rows (pinned by the
-            # codec property suite), so the first cold run never
-            # re-materialises what the interpreter just built.
-            packed.rows[:] = trace.instructions
-            trace = packed
-            if store is not None:
-                store.save_payload(payload, benchmark, seed, version)
-        elif store is not None:
-            store.save(trace, benchmark, seed, instructions, version)
+            interpreted = execute(
+                built.program, instructions, built.machine()
+            )
+        payload = pack_trace(interpreted, instructions)
+        trace = ColumnarTrace.from_payload(payload)
+        # Seed the row cache with the freshly interpreted objects: they
+        # are field-identical to decoded rows (pinned by the codec
+        # property suite), so the first cold run never re-materialises
+        # what the interpreter just built.
+        trace.rows[:] = interpreted.instructions
+        if store is not None:
+            store.save_payload(payload, benchmark, seed, version)
         self._trace_cache[key] = (trace, instructions)
         return trace
 

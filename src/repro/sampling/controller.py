@@ -28,7 +28,7 @@ from repro.common.rng import XorShift64
 from repro.obs.runtime import obs_tracer
 from repro.pipeline.stats import Stats
 from repro.sampling.config import SamplingConfig
-from repro.sampling.vecwarm import make_warmer
+from repro.sampling.warming import FunctionalWarmer
 
 #: Seed of the (deterministic) gap-jitter stream.
 _JITTER_SEED = 0x5A3D_11E7_AB1E_0001
@@ -70,9 +70,7 @@ class SampledRun:
     def __init__(self, pipeline, config: SamplingConfig) -> None:
         self.pipeline = pipeline
         self.config = config
-        # Vectorised when NumPy + columnar trace + REPRO_VECWARM allow;
-        # bit-identical pure-Python warming otherwise (DESIGN.md §12).
-        self.warmer = make_warmer(pipeline)
+        self.warmer = FunctionalWarmer(pipeline)
         # Per-interval gap jitter (uniform within ±half the nominal gap)
         # decorrelates interval boundaries from program periodicity —
         # systematic sampling aliases badly on loop-phased kernels.

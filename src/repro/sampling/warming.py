@@ -468,18 +468,7 @@ class FunctionalWarmer:
         machine's real commit groups (§IV.D), which warming's fixed-size
         pseudo-groups would distort.
         """
-        self._observe_sampling_hashed(self._fold_values(results), eligible)
-
-    def _observe_sampling_hashed(
-        self, hashes: list[int], eligible: list[tuple[int, int]]
-    ) -> None:
-        """:meth:`_observe_sampling` with the hash fold precomputed.
-
-        The vectorised warmer folds a whole span's producer results in
-        one array pass and hands each group's slice here, so the
-        selection/search/train sequence stays this single shared
-        implementation on both planes.
-        """
+        hashes = self._fold_values(results)
         rsep = self.pipeline.rsep
         pairing = rsep.pairing
         if eligible:

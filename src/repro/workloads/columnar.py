@@ -22,10 +22,11 @@ the columns themselves the representation the hot paths consume:
   replay one trace through many mechanism cells pay materialisation
   once per process, exactly like the old eager decode, while loads,
   unfetched slack and functionally-warmed spans pay nothing at all.
-* :func:`columnar_enabled` — the ``REPRO_COLUMNAR`` escape hatch.  The
-  default is on; ``REPRO_COLUMNAR=0`` keeps the legacy eager-``DynInst``
-  path alive as a live differential-testing oracle
-  (``tests/test_columnar_equivalence.py`` pins both paths bit-identical).
+
+The columnar plane is the only runtime trace path.  The eager
+``DynInst`` decode (:func:`unpack_trace`) and the object-walking fetch
+and warming loops stay as the differential-testing oracle
+(``tests/test_columnar_equivalence.py`` pins both paths bit-identical).
 
 Invariants the equivalence suite relies on:
 
@@ -64,21 +65,6 @@ KIND_RETURN = 8
 KIND_LOAD = 16
 KIND_STORE = 32
 KIND_HAS_FU = 64  # executes on a functional unit (fu != FuClass.NONE)
-
-
-def columnar_enabled() -> bool:
-    """Whether the runtime consumes packed columns (``REPRO_COLUMNAR``).
-
-    Defaults to on.  ``REPRO_COLUMNAR=0`` (or ``off``/``no``/``false``)
-    selects the legacy eager-``DynInst`` trace path — kept alive as the
-    differential-testing oracle, not as a supported fast path.  The
-    environment read lives in :mod:`repro.api.env` (the single
-    ``REPRO_*`` front door); prefer pinning the plane explicitly through
-    :class:`repro.api.StoreSpec`.
-    """
-    from repro.api.env import columnar_from_env
-
-    return columnar_from_env()
 
 
 def _opcode_statics() -> list[tuple]:

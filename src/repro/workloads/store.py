@@ -17,13 +17,13 @@ Three pieces:
   stat signature changes, which keeps long-lived processes honest too.
 * the flat-array codec (:func:`pack_trace` / :func:`unpack_trace`,
   re-exported from :mod:`repro.workloads.columnar` where it now lives).
-  Packed traces pickle ~10× smaller than ``DynInst`` lists, and since
-  PR 4 the packed columns are also the *runtime* representation: by
-  default :meth:`TraceStore.load` returns a
+  Packed traces pickle ~10× smaller than ``DynInst`` lists, and the
+  packed columns are also the *runtime* representation:
+  :meth:`TraceStore.load` returns a
   :class:`~repro.workloads.columnar.ColumnarTrace` view over the
   payload without constructing a single ``DynInst`` — rows materialise
-  lazily, per fetched instruction (DESIGN.md §9).  ``REPRO_COLUMNAR=0``
-  restores the legacy eager decode as a differential-testing oracle.
+  lazily, per fetched instruction (DESIGN.md §9).  The eager decode
+  (:func:`unpack_trace`) survives as the tests' differential oracle.
 * :class:`TraceStore` — the on-disk cache.  One file per
   ``(benchmark, seed, version)``, atomically replaced on writes
   (temp file + ``os.replace``), with the instruction *budget* recorded in
@@ -59,7 +59,6 @@ from repro.common.atomicio import atomic_write_bytes, atomic_write_text
 from repro.workloads.columnar import (  # noqa: F401  (codec re-exports)
     FORMAT,
     ColumnarTrace,
-    columnar_enabled,
     pack_trace,
     unpack_trace,
 )
@@ -266,8 +265,7 @@ class TraceStore:
 
     def load(
         self, benchmark: str, seed: int, instructions: int, version: str,
-        columnar: bool | None = None,
-    ) -> "tuple[Trace | ColumnarTrace, int] | None":
+    ) -> "tuple[ColumnarTrace, int] | None":
         """Return ``(trace, budget)`` if a stored trace covers the request.
 
         A trace covers a request for N instructions when it was built with
@@ -276,29 +274,19 @@ class TraceStore:
         missing, truncated, corrupt, wrong format — is a miss; the caller
         re-interprets and :meth:`save` overwrites the bad file.
 
-        By default the result is a :class:`ColumnarTrace` view over the
-        packed payload — zero per-instruction decode work at load; rows
-        materialise lazily as the pipeline fetches them.  With
-        ``REPRO_COLUMNAR=0`` the legacy eager-``DynInst`` decode runs
-        instead (the differential-testing oracle).  An explicit
-        ``columnar`` argument (a :class:`~repro.api.spec.StoreSpec`
-        threading through the simulator) overrides the environment.
-        Both constructors validate the payload, so corruption is a miss
-        on either path.
+        The result is a :class:`ColumnarTrace` view over the packed
+        payload — zero per-instruction decode work at load; rows
+        materialise lazily as the pipeline fetches them.  The
+        constructor validates the payload, so corruption is a miss.
         """
-        if columnar is None:
-            columnar = columnar_enabled()
         path = self.path_for(benchmark, seed, version)
         try:
             with open(path, "rb") as handle:
                 payload = pickle.load(handle)
-            if columnar:
-                trace = ColumnarTrace.from_payload(payload)
-                budget = payload["budget"]
-                if not isinstance(budget, int):
-                    raise ValueError("trace payload budget is not an int")
-            else:
-                trace, budget = unpack_trace(payload)
+            trace = ColumnarTrace.from_payload(payload)
+            budget = payload["budget"]
+            if not isinstance(budget, int):
+                raise ValueError("trace payload budget is not an int")
         except FileNotFoundError:
             self.misses += 1
             return None

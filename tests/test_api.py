@@ -126,7 +126,7 @@ class TestSpecSerialisation:
                 enabled=True, interval=1000, detail_ratio=0.25,
                 detail_warmup=64,
             ),
-            store=StoreSpec(path="/tmp/somewhere", columnar=False),
+            store=StoreSpec(path="/tmp/somewhere", result_lake=True),
             seeds=(1, 2),
             shards=2,
         )
@@ -236,10 +236,10 @@ class TestEnvOverlay:
 
     def test_store_spec_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_STORE", "/tmp/store-here")
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
+        monkeypatch.setenv("REPRO_RESULT_LAKE", "1")
         store = StoreSpec.from_env()
         assert store.path == "/tmp/store-here"
-        assert store.enabled and not store.columnar
+        assert store.enabled and store.result_lake
         monkeypatch.setenv("REPRO_TRACE_STORE", "off")
         assert not StoreSpec.from_env().enabled
         assert StoreSpec.from_env().resolve_root() is None
@@ -292,9 +292,13 @@ class TestEnvOverlay:
 
 
 class TestTypoGuard:
-    # The classic typo, and a retired variable that no longer does
-    # anything (the sweep pool's worker count).
-    UNKNOWN = ("REPRO_MESURE", "REPRO_WORKERS")
+    # The classic typo, and retired variables that no longer do
+    # anything (the sweep pool's worker count, the compute-plane
+    # switches).
+    UNKNOWN = (
+        "REPRO_MESURE", "REPRO_WORKERS", "REPRO_COLUMNAR",
+        "REPRO_GENRENAME", "REPRO_VECWARM",
+    )
 
     def test_unknown_repro_variable_warns_once(self, monkeypatch):
         for name in self.UNKNOWN:
@@ -314,18 +318,21 @@ class TestTypoGuard:
         with pytest.raises(ValueError, match="REPRO_TYPO_STRICT"):
             ExperimentSpec.from_env(benchmarks=["mcf"], strict=True)
         monkeypatch.delenv("REPRO_TYPO_STRICT")
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            ExperimentSpec.from_env(benchmarks=["mcf"], strict=True)
+        for retired in self.UNKNOWN[1:]:
+            monkeypatch.setenv(retired, "0")
+            with pytest.raises(ValueError, match=retired):
+                ExperimentSpec.from_env(benchmarks=["mcf"], strict=True)
+            monkeypatch.delenv(retired)
 
     def test_known_vars_cover_the_readme_table(self):
         for name in (
             "REPRO_WARMUP", "REPRO_MEASURE", "REPRO_SCALE", "REPRO_SEEDS",
             "REPRO_SAMPLING", "REPRO_INTERVAL", "REPRO_DETAIL_RATIO",
-            "REPRO_DETAIL_WARMUP", "REPRO_TRACE_STORE", "REPRO_COLUMNAR",
+            "REPRO_DETAIL_WARMUP", "REPRO_TRACE_STORE", "REPRO_RESULT_LAKE",
             "REPRO_SHARDS", "REPRO_FULL",
         ):
             assert name in api_env.KNOWN_VARS
+        assert len(api_env.KNOWN_VARS) == 20
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +401,16 @@ class TestSessionAndResult:
     def test_for_spec_never_lets_env_override_an_explicit_pin(
         self, monkeypatch
     ):
-        # An explicitly pinned columnar=True must survive REPRO_COLUMNAR=0:
-        # the shared engine (columnar follows env) is only acceptable when
-        # the environment agrees with the spec.
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        spec = tiny_spec(store=StoreSpec(columnar=True))
+        # An explicitly pinned result_lake=False must survive
+        # REPRO_RESULT_LAKE=1: the shared engine (lake follows env) is
+        # only acceptable when the environment agrees with the spec.
+        monkeypatch.setenv("REPRO_RESULT_LAKE", "1")
+        spec = tiny_spec(store=StoreSpec(result_lake=False))
         session = Session.for_spec(spec)
         from repro.harness.sweep import shared_engine
 
         assert session.engine is not shared_engine()
-        assert session.simulator.columnar is True
+        assert session.engine.result_lake is False
 
     def test_session_for_spec_honours_private_store(self, tmp_path):
         spec = tiny_spec(store=StoreSpec(path=str(tmp_path / "store")))
@@ -440,6 +447,22 @@ class TestSessionAndResult:
         assert restored.spec == result.spec
         assert restored.fingerprint == result.fingerprint
         assert restored.digest() == result.digest()
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_artifact_with_the_retired_columnar_field_still_loads(
+        self, columnar
+    ):
+        # Artifacts (and `repro serve` client specs) written before the
+        # eager trace plane was retired embed "columnar" in their store.
+        result = private_session().run(tiny_spec())
+        payload = json.loads(result.to_json())
+        payload["spec"]["store"]["columnar"] = columnar
+        restored = RunResult.from_dict(payload)
+        assert restored.spec == result.spec
+        assert restored.fingerprint == result.fingerprint
+        assert restored.digest() == result.digest()
+        spec = ExperimentSpec.from_dict(payload["spec"])
+        assert spec == result.spec
 
 
 class TestShardedSessionRun:

@@ -94,3 +94,39 @@ class TestSweepCli:
         assert main(["--smoke"]) == 0
         out = capsys.readouterr().out
         assert "sweep smoke: cold == memoised == warm-store" in out
+
+
+class TestFrontDoorImports:
+    def test_front_door_never_imports_numpy(self):
+        # The simulator is pure Python: neither the CLI module graph nor
+        # a sampled run (functional warming included) may pull NumPy in.
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.api.cli\n"
+            "from repro.api import ExperimentSpec, Session, StoreSpec, "
+            "WindowSpec\n"
+            "from repro.sampling import SamplingConfig\n"
+            "spec = ExperimentSpec(benchmarks=('mcf',), "
+            "window=WindowSpec(2000, 20000), "
+            "sampling=SamplingConfig(enabled=True), "
+            "store=StoreSpec(enabled=False))\n"
+            "result = Session.for_spec(spec).run(spec)\n"
+            "assert result.outcome('mcf', 'baseline').merged_stats[0]"
+            ".warmed > 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        env["REPRO_TRACE_STORE"] = "off"
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=300, check=True,
+        )
+        assert completed.stdout.strip() == "False"

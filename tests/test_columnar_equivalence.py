@@ -1,32 +1,39 @@
 """Differential equivalence: columnar runtime vs the eager-DynInst oracle.
 
-``REPRO_COLUMNAR=0`` keeps the legacy trace plane — eager ``DynInst``
-decode on store load, object-walking fetch and warming loops — alive as
-a live oracle.  Every test here runs the same cell through both planes
-and asserts *bit-identical* statistics, so any drift in the columnar
-fetch loop, the lazy row materialiser, the column-indexed warmer or the
-codec itself fails immediately.
+The runtime only ever consumes ``ColumnarTrace`` views.  The legacy
+trace plane — eager ``DynInst`` decode, object-walking fetch and warming
+loops — stays in ``src/`` as a test oracle, reached through
+``helpers.run_oracle`` (an eager ``Trace`` interpreted directly, driven
+through ``Pipeline`` / ``SampledRun``).  Every test here runs the same
+cell through the runtime and the oracle and asserts *bit-identical*
+statistics, so any drift in the columnar fetch loop, the lazy row
+materialiser, the column-indexed warmer or the codec itself fails
+immediately.
 
 The cells mirror ``tests/test_determinism.py``'s golden set (every
 golden mechanism config), extend over all validation modes, and cover
-sampled mode (functional warming + drains) plus the on-disk store round
-trip in both planes.
+sampled mode (functional warming + drains), the on-disk store round
+trip and µarch checkpoint restore across planes.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.validation import ValidationMode
-from repro.pipeline.config import MechanismConfig
+from repro.isa.instruction import DynInst
+from repro.pipeline.config import CoreConfig, MechanismConfig
+from repro.pipeline.core import Pipeline
 from repro.pipeline.simulator import Simulator
 from repro.sampling import SamplingConfig
-from repro.workloads.columnar import ColumnarTrace
+from repro.workloads.columnar import ColumnarTrace, unpack_trace
 from repro.workloads.store import TraceStore
 from repro.workloads.trace import Trace
 
 
-from helpers import stats_dict  # noqa: E402  (shared test helper)
+from helpers import eager_trace, run_oracle, stats_dict  # noqa: E402
 
 
 #: The golden set of tests/test_determinism.py: every mechanism config
@@ -39,8 +46,6 @@ GOLDEN_CELLS = [
 
 
 def run_cell(
-    monkeypatch,
-    columnar: bool,
     benchmark: str,
     mechanism: MechanismConfig,
     warmup: int,
@@ -48,8 +53,7 @@ def run_cell(
     store_root=None,
     sampling: SamplingConfig | None = None,
 ) -> dict:
-    """One (benchmark, mechanism) cell under the requested trace plane."""
-    monkeypatch.setenv("REPRO_COLUMNAR", "1" if columnar else "0")
+    """One (benchmark, mechanism) cell on the runtime (columnar) plane."""
     store = TraceStore(store_root) if store_root is not None else None
     simulator = Simulator(trace_store=store)
     result = simulator.run_benchmark(
@@ -60,27 +64,39 @@ def run_cell(
 
 
 class TestTracePlaneSelection:
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COLUMNAR", raising=False)
+    def test_default_is_columnar(self, tmp_path):
         trace = Simulator(trace_store=None).trace_for("mcf", 1, 500)
         assert isinstance(trace, ColumnarTrace)
+        # Store loads take the same (only) plane.
+        Simulator(trace_store=TraceStore(tmp_path)).trace_for("mcf", 1, 500)
+        warm = Simulator(trace_store=TraceStore(tmp_path))
+        assert isinstance(warm.trace_for("mcf", 1, 500), ColumnarTrace)
+        assert warm.trace_store.hits == 1
 
-    def test_escape_hatch_restores_dyninst_trace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        trace = Simulator(trace_store=None).trace_for("mcf", 1, 500)
+    def test_escape_hatch_restores_dyninst_trace(self):
+        # The runtime has no eager switch; the oracle's escape hatch is
+        # the test helper, whose eager trace selects the object-walking
+        # fetch (no columnar binding on the instance).
+        trace = eager_trace("mcf", 1, 500)
         assert isinstance(trace, Trace)
+        pipeline = Pipeline(trace, CoreConfig(), MechanismConfig.baseline())
+        assert "_fetch" not in vars(pipeline)
+        runtime = Simulator(trace_store=None).trace_for("mcf", 1, 500)
+        pipeline = Pipeline(runtime, CoreConfig(), MechanismConfig.baseline())
+        assert pipeline._fetch.__func__ is Pipeline._fetch_columnar
 
-    def test_planes_share_one_store_artifact(self, monkeypatch, tmp_path):
+    def test_planes_share_one_store_artifact(self, tmp_path):
         # One file on disk serves both planes: the payload is the wire
         # format either way, only the in-memory view differs.
-        monkeypatch.setenv("REPRO_COLUMNAR", "1")
         Simulator(trace_store=TraceStore(tmp_path)).trace_for("mcf", 1, 800)
-        assert len(list(tmp_path.glob("*.trace"))) == 1
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        legacy = Simulator(trace_store=TraceStore(tmp_path))
-        trace = legacy.trace_for("mcf", 1, 800)
-        assert legacy.trace_store.hits == 1
-        assert isinstance(trace, Trace)
+        (path,) = tmp_path.glob("*.trace")
+        decoded, budget = unpack_trace(pickle.loads(path.read_bytes()))
+        assert isinstance(decoded, Trace) and budget == 800
+        reference = eager_trace("mcf", 1, 800)
+        assert len(decoded) == len(reference)
+        for ours, theirs in zip(decoded.instructions, reference.instructions):
+            for field in DynInst.__slots__:
+                assert getattr(ours, field) == getattr(theirs, field)
 
 
 class TestGoldenCellEquivalence:
@@ -88,34 +104,19 @@ class TestGoldenCellEquivalence:
         "bench,mechanism,warmup,measure", GOLDEN_CELLS,
         ids=lambda value: getattr(value, "__name__", str(value)),
     )
-    def test_columnar_equals_dyninst(
-        self, monkeypatch, bench, mechanism, warmup, measure
-    ):
-        columnar = run_cell(
-            monkeypatch, True, bench, mechanism(), warmup, measure
-        )
-        legacy = run_cell(
-            monkeypatch, False, bench, mechanism(), warmup, measure
-        )
+    def test_columnar_equals_dyninst(self, bench, mechanism, warmup, measure):
+        columnar = run_cell(bench, mechanism(), warmup, measure)
+        legacy = run_oracle(bench, mechanism(), warmup, measure)
         assert columnar == legacy
 
-    def test_store_round_trip_equivalence(self, monkeypatch, tmp_path):
-        # Interpret + persist once (columnar), then load the same
-        # artifact through both planes: all three runs bit-identical.
+    def test_store_round_trip_equivalence(self, tmp_path):
+        # Interpret + persist once, load the artifact back, and compare
+        # both with the eager oracle: all three runs bit-identical.
         mechanism = MechanismConfig.rsep_realistic()
-        cold = run_cell(
-            monkeypatch, True, "mcf", mechanism, 1000, 4000,
-            store_root=tmp_path,
-        )
-        warm_columnar = run_cell(
-            monkeypatch, True, "mcf", mechanism, 1000, 4000,
-            store_root=tmp_path,
-        )
-        warm_legacy = run_cell(
-            monkeypatch, False, "mcf", mechanism, 1000, 4000,
-            store_root=tmp_path,
-        )
-        assert cold == warm_columnar == warm_legacy
+        cold = run_cell("mcf", mechanism, 1000, 4000, store_root=tmp_path)
+        warm = run_cell("mcf", mechanism, 1000, 4000, store_root=tmp_path)
+        legacy = run_oracle("mcf", mechanism, 1000, 4000)
+        assert cold == warm == legacy
 
 
 class TestValidationModeEquivalence:
@@ -131,14 +132,10 @@ class TestValidationModeEquivalence:
             start_train_threshold=15,
         )
 
-    def test_all_modes_match(self, monkeypatch):
+    def test_all_modes_match(self):
         for mechanism in self._variants():
-            columnar = run_cell(
-                monkeypatch, True, "hmmer", mechanism, 500, 3000
-            )
-            legacy = run_cell(
-                monkeypatch, False, "hmmer", mechanism, 500, 3000
-            )
+            columnar = run_cell("hmmer", mechanism, 500, 3000)
+            legacy = run_oracle("hmmer", mechanism, 500, 3000)
             assert columnar == legacy, mechanism.name
 
 
@@ -155,35 +152,25 @@ class TestSampledEquivalence:
         MechanismConfig.rsep_realistic,
         MechanismConfig.rsep_plus_vp,
     ], ids=lambda factory: factory.__name__)
-    def test_sampled_columnar_equals_dyninst(
-        self, monkeypatch, mechanism_factory
-    ):
+    def test_sampled_columnar_equals_dyninst(self, mechanism_factory):
         kwargs = dict(warmup=1500, measure=6000, sampling=self.SAMPLING)
-        columnar = run_cell(
-            monkeypatch, True, "xalancbmk", mechanism_factory(), **kwargs
-        )
-        legacy = run_cell(
-            monkeypatch, False, "xalancbmk", mechanism_factory(), **kwargs
-        )
+        columnar = run_cell("xalancbmk", mechanism_factory(), **kwargs)
+        legacy = run_oracle("xalancbmk", mechanism_factory(), **kwargs)
         assert columnar["warmed"] > 0  # the warmer really ran
         assert columnar == legacy
 
-    def test_checkpoint_crosses_planes(self, monkeypatch, tmp_path):
-        # A µarch checkpoint captured under the columnar plane restores
-        # bit-identically under the legacy plane (and vice versa): the
-        # warmed state is a pure function of the trace *content*.
+    def test_checkpoint_crosses_planes(self, tmp_path):
+        # A µarch checkpoint captured on the columnar plane restores
+        # bit-identically on the eager plane: the warmed state is a pure
+        # function of the trace *content*.
         mechanism = MechanismConfig.rsep_realistic()
         kwargs = dict(warmup=1500, measure=4000, sampling=self.SAMPLING)
-        cold = run_cell(
-            monkeypatch, True, "mcf", mechanism, store_root=tmp_path,
-            **kwargs,
+        cold = run_cell("mcf", mechanism, store_root=tmp_path, **kwargs)
+        store = TraceStore(tmp_path)
+        token = Simulator(trace_store=store)._checkpoint_token(
+            mechanism, kwargs["warmup"]
         )
-        monkeypatch.setenv("REPRO_COLUMNAR", "0")
-        restored_store = TraceStore(tmp_path)
-        restored = Simulator(trace_store=restored_store).run_benchmark(
-            "mcf", mechanism, seed=1, **kwargs
-        )
-        assert restored_store.checkpoint_hits == 1
-        # A genuine restore: no fallback re-warm rewrote the artifact.
-        assert restored_store.checkpoint_writes == 0
-        assert stats_dict(restored.stats) == cold
+        payload = store.load_checkpoint("mcf", 1, token)
+        assert payload is not None
+        restored = run_oracle("mcf", mechanism, checkpoint=payload, **kwargs)
+        assert restored == cold

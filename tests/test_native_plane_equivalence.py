@@ -1,20 +1,17 @@
-"""Differential equivalence for the native-speed compute plane (PR 7).
+"""Differential equivalence for the native-speed compute plane.
 
-Two generated planes ship behind environment gates, each with its
-generic implementation kept live as the oracle:
-
-* ``REPRO_GENRENAME`` — per-mechanism generated rename/issue loops
-  (``repro.pipeline.genrename``) vs the generic ``Pipeline._rename`` /
-  ``_issue`` methods;
-* ``REPRO_VECWARM`` — the NumPy event-indexed functional warmer
-  (``repro.sampling.vecwarm``) vs the pure-Python column loop.
-
-Every test here runs the same cell through both planes (and the four
-on/off combinations) asserting *bit-identical* statistics, mirroring
-``tests/test_columnar_equivalence.py``'s treatment of the columnar
-plane.  The memoised distance-predictor fast path and the issue-port
-arms inlined into both issue loops get direct hypothesis equivalence
-tests of their own.
+``Pipeline.__init__`` always installs the per-mechanism generated
+rename/issue loops (``repro.pipeline.genrename``); the generic
+``Pipeline._rename`` / ``_issue`` methods stay in ``src/`` as the test
+oracle, reached through ``helpers.generic_stages`` (which drops the
+generated instance bindings).  Every test here runs the same cell on
+the runtime plane and on the oracle asserting *bit-identical*
+statistics, mirroring ``tests/test_columnar_equivalence.py``'s
+treatment of the columnar plane; the four generated/generic ×
+columnar/eager combinations meet in sampled mode and across a µarch
+checkpoint.  The memoised distance-predictor fast path and the
+issue-port arms inlined into both issue loops get direct hypothesis
+equivalence tests of their own.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import env as api_env
 from repro.backend.fu import FuClass, IssuePorts, PortConfig
 from repro.common.history import GlobalHistory, PathHistory
 from repro.common.rng import XorShift64
@@ -32,17 +28,16 @@ from repro.pipeline.config import (
     MECHANISM_PRESETS,
     MechanismConfig,
 )
+from repro.pipeline.core import Pipeline
 from repro.pipeline.simulator import Simulator
 from repro.predictors.distance import (
     DistancePredictor,
     DistancePredictorConfig,
 )
 from repro.sampling import SamplingConfig
-from repro.sampling import vecwarm
-from repro.sampling.warming import FunctionalWarmer
 from repro.workloads.store import TraceStore
 
-from helpers import stats_dict  # noqa: E402  (shared test helper)
+from helpers import generic_stages, run_oracle, stats_dict  # noqa: E402
 
 
 SAMPLING = SamplingConfig(
@@ -51,20 +46,15 @@ SAMPLING = SamplingConfig(
 
 
 def run_cell(
-    monkeypatch,
     benchmark: str,
     mechanism: MechanismConfig,
     warmup: int,
     measure: int,
     *,
-    genrename: bool = True,
-    vectorised: bool = True,
     store_root=None,
     sampling: SamplingConfig | None = None,
 ) -> dict:
-    """One cell under the requested compute-plane combination."""
-    monkeypatch.setenv("REPRO_GENRENAME", "1" if genrename else "0")
-    monkeypatch.setenv("REPRO_VECWARM", "1" if vectorised else "0")
+    """One cell on the runtime plane (generated stages, columnar trace)."""
     store = TraceStore(store_root) if store_root is not None else None
     simulator = Simulator(trace_store=store)
     result = simulator.run_benchmark(
@@ -74,44 +64,25 @@ def run_cell(
     return stats_dict(result.stats)
 
 
-class TestEnvFrontDoor:
-    def test_new_vars_are_known(self):
-        assert "REPRO_GENRENAME" in api_env.KNOWN_VARS
-        assert "REPRO_VECWARM" in api_env.KNOWN_VARS
-        unknown = api_env.warn_unknown_vars(
-            {"REPRO_GENRENAME": "0", "REPRO_VECWARM": "0"}
-        )
-        assert unknown == []
-
-    @pytest.mark.parametrize("reader,name", [
-        (api_env.genrename_enabled, "REPRO_GENRENAME"),
-        (api_env.vecwarm_enabled, "REPRO_VECWARM"),
-    ], ids=["genrename", "vecwarm"])
-    def test_readers_default_on_and_gate_off(self, monkeypatch, reader, name):
-        monkeypatch.delenv(name, raising=False)
-        assert reader() is True
-        for off in api_env.OFF_VALUES:
-            monkeypatch.setenv(name, off)
-            assert reader() is False
-        monkeypatch.setenv(name, "1")
-        assert reader() is True
+def run_generic(benchmark, mechanism, warmup, measure, **kwargs) -> dict:
+    """The same cell with the generic rename/issue oracle."""
+    return run_oracle(
+        benchmark, mechanism, warmup, measure, eager=False, generic=True,
+        **kwargs,
+    )
 
 
 class TestGeneratedRenameEquivalence:
     """Generic vs generated rename/issue across every mechanism."""
 
     @pytest.mark.parametrize("preset", sorted(MECHANISM_PRESETS))
-    def test_all_presets_match(self, monkeypatch, preset):
+    def test_all_presets_match(self, preset):
         mechanism = MECHANISM_PRESETS[preset]()
-        generated = run_cell(
-            monkeypatch, "mcf", mechanism, 500, 3000, genrename=True
-        )
-        generic = run_cell(
-            monkeypatch, "mcf", mechanism, 500, 3000, genrename=False
-        )
+        generated = run_cell("mcf", mechanism, 500, 3000)
+        generic = run_generic("mcf", mechanism, 500, 3000)
         assert generated == generic
 
-    def test_all_validation_modes_match(self, monkeypatch):
+    def test_all_validation_modes_match(self):
         variants = [
             MechanismConfig.rsep_validation(mode) for mode in ValidationMode
         ]
@@ -120,12 +91,8 @@ class TestGeneratedRenameEquivalence:
             start_train_threshold=15,
         ))
         for mechanism in variants:
-            generated = run_cell(
-                monkeypatch, "hmmer", mechanism, 500, 3000, genrename=True
-            )
-            generic = run_cell(
-                monkeypatch, "hmmer", mechanism, 500, 3000, genrename=False
-            )
+            generated = run_cell("hmmer", mechanism, 500, 3000)
+            generic = run_generic("hmmer", mechanism, 500, 3000)
             assert generated == generic, mechanism.name
 
     def test_code_cache_shared_per_fingerprint(self):
@@ -142,109 +109,60 @@ class TestGeneratedRenameEquivalence:
         other = genrename.compiled_stages(config, MechanismConfig.baseline())
         assert other[0] is not first[0]
 
-    def test_escape_hatch_restores_generic_methods(self, monkeypatch):
-        from repro.pipeline.core import Pipeline
-
+    def test_escape_hatch_restores_generic_methods(self):
+        # The runtime always binds the generated loops; the oracle's
+        # escape hatch is the test helper, which unbinds them so the
+        # class methods run.
         trace = Simulator(trace_store=None).trace_for("mcf", 1, 500)
-        monkeypatch.setenv("REPRO_GENRENAME", "0")
-        pipeline = Pipeline(trace, CoreConfig(), MechanismConfig.baseline())
-        assert "_rename" not in vars(pipeline)
-        assert "_issue" not in vars(pipeline)
-        monkeypatch.setenv("REPRO_GENRENAME", "1")
         pipeline = Pipeline(trace, CoreConfig(), MechanismConfig.baseline())
         assert "_rename" in vars(pipeline) and "_issue" in vars(pipeline)
+        generic_stages(pipeline)
+        assert "_rename" not in vars(pipeline)
+        assert "_issue" not in vars(pipeline)
+        assert pipeline._rename.__func__ is Pipeline._rename
+        assert pipeline._issue.__func__ is Pipeline._issue
 
 
-class TestVectorisedWarmingEquivalence:
-    """Pure vs vectorised warming on sampled cells (the only consumer)."""
-
-    @pytest.mark.parametrize("factory", [
-        MechanismConfig.baseline,
-        MechanismConfig.rsep_realistic,
-        MechanismConfig.rsep_plus_vp,
-        MechanismConfig.rsep_ideal,
-    ], ids=lambda factory: factory.__name__)
-    def test_sampled_cells_match(self, monkeypatch, factory):
-        kwargs = dict(warmup=1500, measure=6000, sampling=SAMPLING)
-        fast = run_cell(
-            monkeypatch, "xalancbmk", factory(), vectorised=True, **kwargs
-        )
-        pure = run_cell(
-            monkeypatch, "xalancbmk", factory(), vectorised=False, **kwargs
-        )
-        assert fast["warmed"] > 0  # the warmer really ran
-        assert fast == pure
-
-    def test_vecwarm_plane_selected_by_default(self, monkeypatch):
-        from repro.pipeline.core import Pipeline
-
-        pytest.importorskip("numpy")
-        monkeypatch.delenv("REPRO_VECWARM", raising=False)
-        trace = Simulator(trace_store=None).trace_for("mcf", 1, 500)
-        pipeline = Pipeline(trace, CoreConfig(), MechanismConfig.baseline())
-        assert isinstance(
-            vecwarm.make_warmer(pipeline), vecwarm.VecFunctionalWarmer
-        )
-
-    def test_no_numpy_falls_back_cleanly(self, monkeypatch):
-        from repro.pipeline.core import Pipeline
-
-        monkeypatch.setattr(vecwarm, "np", None)
-        assert not vecwarm.numpy_available()
-        simulator = Simulator(trace_store=None)
-        trace = simulator.trace_for("mcf", 1, 500)
-        pipeline = Pipeline(trace, CoreConfig(), MechanismConfig.baseline())
-        warmer = vecwarm.make_warmer(pipeline)
-        assert type(warmer) is FunctionalWarmer
-        # And a sampled run still works end to end on the pure plane.
-        result = simulator.run_benchmark(
-            "mcf", MechanismConfig.rsep_realistic(), warmup=1000,
-            measure=2000, seed=1, sampling=SAMPLING,
-        )
-        assert result.stats.warmed > 0
+#: (generic rename/issue, eager trace) for the three oracle combinations.
+ORACLE_PLANES = [(True, False), (False, True), (True, True)]
 
 
 class TestFourPlaneCombinations:
-    """genrename × vecwarm: all four combinations digest-identical,
+    """Generated vs generic rename/issue × columnar vs eager trace: the
+    runtime plane and the three oracle combinations digest-identical,
     including through a sampled-checkpoint capture/restore cycle."""
 
-    def test_sampled_rsep_realistic_all_combinations(self, monkeypatch):
+    def test_sampled_rsep_realistic_all_combinations(self):
         kwargs = dict(warmup=1500, measure=4000, sampling=SAMPLING)
-        reference = run_cell(
-            monkeypatch, "mcf", MechanismConfig.rsep_realistic(),
-            genrename=False, vectorised=False, **kwargs,
-        )
-        for genrename in (True, False):
-            for vectorised in (True, False):
-                if not genrename and not vectorised:
-                    continue
-                observed = run_cell(
-                    monkeypatch, "mcf", MechanismConfig.rsep_realistic(),
-                    genrename=genrename, vectorised=vectorised, **kwargs,
-                )
-                assert observed == reference, (genrename, vectorised)
+        mechanism = MechanismConfig.rsep_realistic()
+        reference = run_cell("mcf", mechanism, **kwargs)
+        assert reference["warmed"] > 0  # the warmer really ran
+        for generic, eager in ORACLE_PLANES:
+            observed = run_oracle(
+                "mcf", mechanism, generic=generic, eager=eager, **kwargs
+            )
+            assert observed == reference, (generic, eager)
 
-    def test_checkpoint_crosses_planes(self, monkeypatch, tmp_path):
-        # A µarch checkpoint captured under the fast planes restores
-        # bit-identically under the oracle planes: warmed state is a
-        # pure function of the trace content, and the restore re-stamps
-        # the fast-predict memo version (see checkpoint.py).
+    def test_checkpoint_crosses_planes(self, tmp_path):
+        # A µarch checkpoint captured on the runtime plane restores
+        # bit-identically on every oracle plane: warmed state is a pure
+        # function of the trace content, and the restore re-stamps the
+        # fast-predict memo version (see checkpoint.py).
         mechanism = MechanismConfig.rsep_realistic()
         kwargs = dict(warmup=1500, measure=4000, sampling=SAMPLING)
-        cold = run_cell(
-            monkeypatch, "mcf", mechanism, genrename=True,
-            vectorised=True, store_root=tmp_path, **kwargs,
+        cold = run_cell("mcf", mechanism, store_root=tmp_path, **kwargs)
+        store = TraceStore(tmp_path)
+        token = Simulator(trace_store=store)._checkpoint_token(
+            mechanism, kwargs["warmup"]
         )
-        monkeypatch.setenv("REPRO_GENRENAME", "0")
-        monkeypatch.setenv("REPRO_VECWARM", "0")
-        restored_store = TraceStore(tmp_path)
-        restored = Simulator(trace_store=restored_store).run_benchmark(
-            "mcf", mechanism, seed=1, **kwargs
-        )
-        assert restored_store.checkpoint_hits == 1
-        # A genuine restore: no fallback re-warm rewrote the artifact.
-        assert restored_store.checkpoint_writes == 0
-        assert stats_dict(restored.stats) == cold
+        payload = store.load_checkpoint("mcf", 1, token)
+        assert payload is not None
+        for generic, eager in ORACLE_PLANES:
+            restored = run_oracle(
+                "mcf", mechanism, generic=generic, eager=eager,
+                checkpoint=payload, **kwargs,
+            )
+            assert restored == cold, (generic, eager)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.api.result import KNOWN_SECTIONS, CellResult, RunResult
 from repro.api.session import Session
 from repro.api.spec import (
     ExperimentSpec,
+    SamplingSpec,
     StoreSpec,
     WindowSpec,
     default_mechanisms,
@@ -265,14 +266,21 @@ class TestMetricsHub:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("genrename,vecwarm",
+    @pytest.mark.parametrize("sampled,stored",
                              [(1, 1), (1, 0), (0, 1), (0, 0)])
     def test_obs_is_invisible_on_every_compute_plane(
-        self, monkeypatch, tmp_path, genrename, vecwarm
+        self, monkeypatch, tmp_path, sampled, stored
     ):
-        monkeypatch.setenv("REPRO_GENRENAME", str(genrename))
-        monkeypatch.setenv("REPRO_VECWARM", str(vecwarm))
-        spec = tiny_spec(benchmarks=("mcf", "dealII"))
+        # The planes are detail vs sampled (functional warming + drains)
+        # execution, and a freshly interpreted vs a store-loaded trace:
+        # with a store, the observed run loads what the baseline wrote.
+        spec = tiny_spec(
+            benchmarks=("mcf", "dealII"),
+            sampling=SamplingSpec(enabled=bool(sampled), interval=128,
+                                  detail_ratio=0.5, detail_warmup=32),
+            store=StoreSpec(path=str(tmp_path / "store"),
+                            enabled=bool(stored)),
+        )
 
         monkeypatch.delenv("REPRO_OBS", raising=False)
         baseline = Session.for_spec(spec).run(spec)
@@ -508,14 +516,14 @@ class TestProfiler:
         from repro.obs.profile import phase_profile, render_profile
 
         payload = phase_profile(benchmarks=("mcf",), warmup=200,
-                                measure=1000, combos="current")
-        assert payload["format"] == 1
-        (combo,) = payload["combos"].values()
-        stages = combo["stages_seconds"]
+                                measure=1000)
+        assert payload["format"] == 2
+        assert "combos" not in payload
+        stages = payload["stages_seconds"]
         for stage in ("commit", "issue", "rename", "fetch", "idle",
                       "interp", "warm"):
             assert stage in stages
-        assert combo["instructions"] > 0
+        assert payload["instructions"] > 0
         # The hot stages really accumulate wall.
         assert stages["commit"] > 0 and stages["issue"] > 0
         text = render_profile(payload)
@@ -536,10 +544,9 @@ class TestProfiler:
     def test_profile_cli(self, tmp_path, capsys):
         out_path = tmp_path / "profile.json"
         assert cli_main(["profile", "--benchmark", "mcf", "--warmup", "200",
-                         "--measure", "1000", "--combos", "current",
-                         "--json", str(out_path)]) == 0
+                         "--measure", "1000", "--json", str(out_path)]) == 0
         assert "phase profile" in capsys.readouterr().out
-        assert json.loads(out_path.read_text())["format"] == 1
+        assert json.loads(out_path.read_text())["format"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.pipeline.simulator import Simulator
 from repro.workloads import store as store_module
 from repro.workloads.store import CELL_FORMAT, TraceStore, cell_stats_digest
 
-from helpers import stats_dict  # noqa: E402  (shared test helper)
+from helpers import run_oracle, stats_dict  # noqa: E402
 
 KWARGS = dict(seed=1, warmup=256, measure=1000)
 
@@ -219,39 +219,34 @@ class TestLakeRobustness:
 
 
 class TestPlaneEquivalence:
-    def test_lake_served_cell_identical_on_all_four_planes(
-        self, tmp_path, monkeypatch
-    ):
-        """A cell laked under the default planes serves bit-identically
-        on every REPRO_GENRENAME × REPRO_VECWARM combination (the plane
-        flags never join the key: planes are bit-identical by the
-        equivalence suite, and this pins that the lake agrees)."""
+    def test_lake_served_cell_identical_on_all_four_planes(self, tmp_path):
+        """A laked cell serves bit-identically to fresh simulation on the
+        runtime plane and to every generated/generic × columnar/eager
+        oracle combination (planes never join the cell key: they are
+        bit-identical by the equivalence suite, and this pins that the
+        lake agrees)."""
         from repro.sampling import SamplingConfig
 
         sampling = SamplingConfig(
             enabled=True, interval=500, detail_ratio=0.5, detail_warmup=64
         )
-        kwargs = dict(seed=1, warmup=256, measure=1000, sampling=sampling)
-        cold = _engine(tmp_path)
-        reference = cold.run_cell(
-            "mcf", MechanismConfig.rsep_realistic(), **kwargs
-        )
-        for genrename in ("1", "0"):
-            for vecwarm in ("1", "0"):
-                monkeypatch.setenv("REPRO_GENRENAME", genrename)
-                monkeypatch.setenv("REPRO_VECWARM", vecwarm)
-                warm = _engine(tmp_path)
-                served = warm.run_cell(
-                    "mcf", MechanismConfig.rsep_realistic(), **kwargs
+        window = dict(warmup=256, measure=1000, sampling=sampling)
+        kwargs = dict(seed=1, **window)
+        mechanism = MechanismConfig.rsep_realistic()
+        _engine(tmp_path).run_cell("mcf", mechanism, **kwargs)
+        warm = _engine(tmp_path)
+        served = stats_dict(warm.run_cell("mcf", mechanism, **kwargs).stats)
+        assert warm.cell_misses == 0
+        fresh = SweepEngine(
+            simulator=Simulator(trace_store=None)
+        ).run_cell("mcf", mechanism, **kwargs)
+        assert served == stats_dict(fresh.stats)
+        for generic in (False, True):
+            for eager in (False, True):
+                oracle = run_oracle(
+                    "mcf", mechanism, generic=generic, eager=eager, **window
                 )
-                assert warm.cell_misses == 0, (genrename, vecwarm)
-                fresh = SweepEngine(
-                    simulator=Simulator(trace_store=None)
-                ).run_cell("mcf", MechanismConfig.rsep_realistic(), **kwargs)
-                assert stats_dict(served.stats) == stats_dict(fresh.stats)
-                assert stats_dict(served.stats) == stats_dict(
-                    reference.stats
-                )
+                assert served == oracle, (generic, eager)
 
 
 class TestParallelAndSharded:

@@ -10,6 +10,7 @@ module implements exactly that.
 from __future__ import annotations
 
 from repro.common.bitops import fold_bits
+from repro.common.codegen import define
 
 
 class FoldedRegister:
@@ -131,8 +132,7 @@ class GlobalHistory:
                 )
             lines.append(f"    _f{j}.value = n")
         lines.append(f"    _h._bits = ((bits << 1) | bit) & {self._mask}")
-        exec("\n".join(lines), env)  # noqa: S102 - static template, no input
-        return env["fast_push"]
+        return define("\n".join(lines), env, "fast_push")
 
     def folded(self, history_bits: int, folded_bits: int) -> int:
         """Return the folded value for a registered geometry."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.common.codegen import define
 from repro.common.history import GlobalHistory, PathHistory
 from repro.common.rng import XorShift64
 from repro.common.storage import StorageReport
@@ -146,15 +147,14 @@ class RsepUnit:
         expression = "(v := op.d.result)" + "".join(
             f" ^ (v >> {shift})" for shift in shifts
         )
-        namespace: dict = {}
-        exec(  # noqa: S102 - static template, no external input
+        return define(
             "def fold_group(ops):\n"
             "    return [({expr}) & {mask} for op in ops]".format(
                 expr=expression, mask=(1 << hash_bits) - 1
             ),
-            namespace,
+            {},
+            "fold_group",
         )
-        return namespace["fold_group"]
 
     # ------------------------------------------------------------------
     # Rename side

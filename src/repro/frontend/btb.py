@@ -21,10 +21,9 @@ class BranchTargetBuffer:
         self._sets = entries // ways
         log2_exact(self._sets)  # must be a power of two
         self._set_mask = self._sets - 1
-        # Per set: list of (tag, target) ordered most-recent-first.
-        self._storage: list[list[tuple[int, int]]] = [
-            [] for _ in range(self._sets)
-        ]
+        # Set index -> list of (tag, target) ordered most-recent-first,
+        # allocated on the set's first update (an absent set is empty).
+        self._storage: dict[int, list[tuple[int, int]]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -35,7 +34,7 @@ class BranchTargetBuffer:
     def lookup(self, pc: int) -> int | None:
         """Return the predicted target for *pc*, or None on a miss."""
         set_index, tag = self._locate(pc)
-        ways = self._storage[set_index]
+        ways = self._storage.get(set_index, ())
         for position, (entry_tag, target) in enumerate(ways):
             if entry_tag == tag:
                 if position:
@@ -48,7 +47,9 @@ class BranchTargetBuffer:
     def update(self, pc: int, target: int) -> None:
         """Install or refresh the target for *pc*."""
         set_index, tag = self._locate(pc)
-        ways = self._storage[set_index]
+        ways = self._storage.get(set_index)
+        if ways is None:
+            ways = self._storage[set_index] = []
         for position, (entry_tag, _) in enumerate(ways):
             if entry_tag == tag:
                 ways.pop(position)

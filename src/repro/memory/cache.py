@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 from repro.common.bitops import LINE_SHIFT  # 64-byte lines (Table I)
 
-__all__ = ["LINE_SHIFT", "Cache", "CacheStats"]
+__all__ = ["LINE_SHIFT", "NO_WAYS", "Cache", "CacheStats"]
+
+#: What an unallocated set reads as: empty, and ``.index`` raises
+#: ``ValueError`` exactly like an allocated set without the line.
+NO_WAYS: tuple = ()
 
 
 @dataclass
@@ -63,8 +67,10 @@ class Cache:
         self._set_mask = self.sets - 1
         self.hit_latency = hit_latency
         self.mshr_limit = mshrs
-        # Per-set MRU-first list of line tags.
-        self._tags: list[list[int]] = [[] for _ in range(self.sets)]
+        # Set index -> MRU-first list of line tags.  A set is allocated
+        # on its first fill: most of a large cache's sets are never
+        # touched in a window, and an absent set reads as empty.
+        self._tags: dict[int, list[int]] = {}
         self._dirty: set[int] = set()
         # Outstanding misses: line -> fill-ready cycle.
         self._pending: dict[int, int] = {}
@@ -74,11 +80,11 @@ class Cache:
 
     def present(self, line: int) -> bool:
         """True iff *line* is resident (no LRU update)."""
-        return line in self._tags[line & self._set_mask]
+        return line in self._tags.get(line & self._set_mask, NO_WAYS)
 
     def touch(self, line: int) -> bool:
         """Probe for *line*; promotes to MRU on hit.  Returns hit flag."""
-        ways = self._tags[line & self._set_mask]
+        ways = self._tags.get(line & self._set_mask, NO_WAYS)
         try:
             position = ways.index(line)
         except ValueError:
@@ -90,7 +96,10 @@ class Cache:
     def fill(self, line: int, dirty: bool = False,
              prefetch: bool = False) -> int | None:
         """Install *line*; returns the victim line if one was evicted."""
-        ways = self._tags[line & self._set_mask]
+        set_index = line & self._set_mask
+        ways = self._tags.get(set_index)
+        if ways is None:
+            ways = self._tags[set_index] = []
         tag = line
         victim = None
         if tag in ways:

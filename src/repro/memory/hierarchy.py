@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.memory.cache import Cache, LINE_SHIFT
+from repro.memory.cache import Cache, LINE_SHIFT, NO_WAYS
 from repro.memory.dram import DramConfig, DramModel
 from repro.memory.prefetcher import StreamPrefetcher, StridePrefetcher
 from repro.memory.tlb import PAGE_SHIFT, Tlb
@@ -171,7 +171,7 @@ class MemoryHierarchy:
                 l1d.touch(line)
                 l1d.stats.mshr_merges += 1
                 return latency + c.l1d_latency + (pending[line] - cycle)
-        ways = l1d._tags[line & l1d._set_mask]
+        ways = l1d._tags.get(line & l1d._set_mask, NO_WAYS)
         try:
             position = ways.index(line)
         except ValueError:
@@ -234,7 +234,7 @@ class MemoryHierarchy:
                 l1i.touch(line)
                 l1i.stats.mshr_merges += 1
                 return latency + (pending[line] - cycle)
-        ways = l1i._tags[line & l1i._set_mask]
+        ways = l1i._tags.get(line & l1i._set_mask, NO_WAYS)
         try:
             position = ways.index(line)
         except ValueError:

@@ -42,6 +42,7 @@ from repro.backend.iq import IssueQueue
 from repro.backend.lsq import WORD_SHIFT, LoadStoreQueues
 from repro.backend.rob import ReorderBuffer
 from repro.backend.store_sets import StoreSets
+from repro.common.gcpause import gc_paused
 from repro.common.history import GlobalHistory, PathHistory
 from repro.common.rng import XorShift64
 from repro.core.rsep import RsepUnit
@@ -261,24 +262,17 @@ class Pipeline:
         """Warm up, then measure a window of *instructions* commits.
 
         The cyclic garbage collector is paused for the duration of the
-        run: the hot loop allocates millions of short-lived,
-        reference-counted objects (in-flight ops, predictions) that
-        refcounting alone reclaims, so generation-0 passes — which also
-        rescan the long-lived trace — are pure overhead.  The previous
-        GC state is restored on exit, enabled or not.
+        run (:func:`~repro.common.gcpause.gc_paused`).  Inside
+        :meth:`Simulator.run_benchmark
+        <repro.pipeline.simulator.Simulator.run_benchmark>` the pause
+        already sits at the cell boundary — trace load, construction and
+        the run share one pause — and this one nests as a no-op; direct
+        callers (``run_trace``, tests) still get the hot loop paused.
         """
-        import gc
-
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_paused():
             self.run_until(warmup)
             self.stats.reset_window()
             self.run_until(self._total_committed + instructions)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return self.stats
 
     def run_until(self, target_committed: int) -> None:

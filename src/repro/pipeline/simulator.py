@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api import env as api_env
+from repro.common.gcpause import gc_paused
 from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import obs_tracer
 from repro.pipeline.config import CoreConfig, MechanismConfig
@@ -148,6 +149,14 @@ class Simulator:
         and friends, like the window variables); an *inactive*
         configuration — disabled, or the degenerate 100%-duty ratio —
         takes the plain full-detail path unchanged.
+
+        The cyclic garbage collector is paused for the whole cell —
+        trace load or interpretation, checkpoint load, construction,
+        restore, warm-up and measurement — and the caller's GC state is
+        restored on every exit (DESIGN.md §8).  The cell's pipeline lives
+        only in the frame of ``_run_plain``/``_run_sampled``, so it is
+        already unreachable when the pause ends and the first collection
+        after the cell frees it.
         """
         if warmup is None or measure is None:
             default_warm, default_measure = api_env.window_from_env()
@@ -155,10 +164,22 @@ class Simulator:
             measure = default_measure if measure is None else measure
         if sampling is None:
             sampling = api_env.sampling_from_env()
-        if sampling.active:
-            return self._run_sampled(
-                benchmark, mechanisms, warmup, measure, seed, sampling
-            )
+        with gc_paused():
+            if sampling.active:
+                return self._run_sampled(
+                    benchmark, mechanisms, warmup, measure, seed, sampling
+                )
+            return self._run_plain(benchmark, mechanisms, warmup, measure, seed)
+
+    def _run_plain(
+        self,
+        benchmark: str,
+        mechanisms: MechanismConfig,
+        warmup: int,
+        measure: int,
+        seed: int,
+    ) -> SimulationResult:
+        """Full-detail run: warm-up and measurement on the pipeline."""
         trace = self.trace_for(benchmark, seed, warmup + measure + _TRACE_SLACK)
         pipeline = Pipeline(trace, self.core_config, mechanisms, seed)
         stats = pipeline.run(measure, warmup)

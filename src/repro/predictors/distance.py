@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from repro.common.codegen import define
 from repro.common.history import GlobalHistory, PathHistory
 from repro.common.rng import XorShift64
 from repro.common.storage import StorageReport
@@ -267,8 +268,7 @@ class DistancePredictor:
             "    _memo[pc] = (hist_tag, path_raw, version, p)",
             "    return p",
         ]
-        exec("\n".join(lines), env)  # noqa: S102 - static template, no input
-        return env["fast_predict"]
+        return define("\n".join(lines), env, "fast_predict")
 
     def predict_reference(self, pc: int) -> DistancePrediction:
         """Look up the predicted IDist for the instruction at *pc*."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.bitops import mask64
+from repro.common.codegen import define
 from repro.common.history import GlobalHistory, PathHistory
 from repro.common.rng import XorShift64
 from repro.common.storage import StorageReport
@@ -195,8 +196,7 @@ class DVtagePredictor:
             f" ({index_list},), ({tag_list},),"
             " base_index, last_valid, inflight_rank)",
         ]
-        exec("\n".join(lines), env)  # noqa: S102 - static template, no input
-        return env["fast_predict"]
+        return define("\n".join(lines), env, "fast_predict")
 
     def predict_reference(self, pc: int) -> ValuePrediction:
         """Predict the result of the instruction at *pc*."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.bitops import fold_bits
+from repro.common.codegen import define
 from repro.common.history import GlobalHistory, PathHistory
 
 
@@ -174,8 +175,7 @@ class GeometricIndexer:
         index_list = ", ".join(f"i{k}" for k in range(n))
         tag_list = ", ".join(f"t{k}" for k in range(n))
         lines.append(f"    return Lookup(pc, [{index_list}], [{tag_list}])")
-        exec("\n".join(lines), env)  # noqa: S102 - static template, no input
-        return env["fast_lookup"]
+        return define("\n".join(lines), env, "fast_lookup")
 
     def lookup_reference(self, pc: int) -> Lookup:
         """Index every component for *pc* under current history."""

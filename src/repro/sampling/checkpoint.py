@@ -11,13 +11,17 @@ alongside traces, and later runs restore it instead of re-warming.
 Capture walks the object graph generically (``__dict__``/``__slots__``),
 recording primitives and containers and skipping anything immutable or
 derived: callables (the code-generated fast paths), frozen-dataclass
-configurations and enums.  Restore walks the *live* graph of a freshly
-constructed pipeline in lockstep and writes values **in place** — table
-lists, folded registers and memo dicts keep their identity, which is
-essential because the generated fast paths close over those exact
-objects.  Shared objects (the global history is referenced by the branch
-unit, the distance predictor and D-VTAGE alike) are captured once and
-matched by traversal position, which is deterministic on both sides.
+configurations and enums.  A sequence holding only primitives — the
+flat predictor tables, tens of thousands of entries each, the cache
+sets, the pairing deques — is one bulk ``"V"`` node rather than a node
+per element.  Restore walks the *live* graph of a freshly constructed
+pipeline in lockstep and writes values **in place** — table lists (one
+slice assignment per bulk node), folded registers and memo dicts keep
+their identity, which is essential because the generated fast paths
+close over those exact objects.  Shared objects (the global history is
+referenced by the branch unit, the distance predictor and D-VTAGE
+alike) are captured once and matched by traversal position, which is
+deterministic on both sides.
 
 Any structural mismatch — a different geometry, a renamed attribute, a
 foreign payload — raises :class:`CheckpointError`; callers treat that as
@@ -32,9 +36,18 @@ from array import array
 from collections import deque
 
 #: Bump when the snapshot encoding changes; readers reject other formats.
-CHECKPOINT_FORMAT = 1
+#: 2: sequences of primitives are bulk ``"V"`` nodes.
+CHECKPOINT_FORMAT = 2
 
 _LEAF_TYPES = (bool, int, float, str, bytes, type(None))
+#: Exact types a bulk node may hold (no subclasses such as ``IntEnum``).
+_BULK_TYPES = frozenset(_LEAF_TYPES)
+
+_SEQUENCE_KINDS = {
+    list: "L", tuple: "T", set: "S", frozenset: "FS", deque: "Q",
+}
+#: Bulk-node constructors by container kind (deques also take a maxlen).
+_BULK_BUILDERS = {"L": list, "T": tuple, "S": set, "FS": frozenset}
 
 #: Restore-side sentinel: "restored in place / keep the live value".
 _KEEP = object()
@@ -94,11 +107,13 @@ def _capture(value, memo: dict[int, int]):
     if isinstance(value, array):
         return {"k": "A", "t": value.typecode, "b": value.tobytes()}
     if isinstance(value, (list, tuple, set, frozenset, deque)):
-        items = [_capture(item, memo) for item in value]
-        kind = {
-            list: "L", tuple: "T", set: "S", frozenset: "FS", deque: "Q",
-        }[type(value)]
-        node = {"k": kind, "v": items, "o": any(map(_impure, items))}
+        kind = _SEQUENCE_KINDS[type(value)]
+        if set(map(type, value)) <= _BULK_TYPES:
+            # Primitives only: one node, rebuilt by one C-level call.
+            node = {"k": "V", "t": kind, "v": list(value)}
+        else:
+            items = [_capture(item, memo) for item in value]
+            node = {"k": kind, "v": items, "o": any(map(_impure, items))}
         if kind == "Q":
             node["m"] = value.maxlen
         return node
@@ -139,6 +154,10 @@ def _build(snap):
     kind = snap["k"]
     if kind == "A":
         return array(snap["t"], snap["b"])
+    if kind == "V":
+        if snap["t"] == "Q":
+            return deque(snap["v"], snap["m"])
+        return _BULK_BUILDERS[snap["t"]](snap["v"])
     if kind == "L":
         return [_build(item) for item in snap["v"]]
     if kind == "T":
@@ -179,6 +198,20 @@ def _restore(live, snap, restored: set[int]):
         return _KEEP
     if kind == "A":
         return array(snap["t"], snap["b"])
+    if kind == "V":
+        container = snap["t"]
+        if container == "L" and isinstance(live, list):
+            live[:] = snap["v"]  # one copy; the list keeps its identity
+            return _KEEP
+        if container == "Q" and isinstance(live, deque):
+            live.clear()
+            live.extend(snap["v"])
+            return _KEEP
+        if container == "S" and isinstance(live, set):
+            live.clear()
+            live.update(snap["v"])
+            return _KEEP
+        return _build(snap)
     if kind == "L":
         items = snap["v"]
         if isinstance(live, list) and len(live) == len(items):

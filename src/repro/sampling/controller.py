@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.common.gcpause import gc_paused
 from repro.common.rng import XorShift64
 from repro.obs.runtime import obs_tracer
 from repro.pipeline.stats import Stats
@@ -108,10 +109,10 @@ class SampledRun:
         counters and the per-interval IPC samples; the gap runs through
         the functional warmer.  With ``skip_span == 0`` (degenerate) the
         loop chains measured spans only and the result is bit-identical
-        to a plain full-detail run.
+        to a plain full-detail run.  The cyclic collector is paused over
+        the window (a no-op inside ``Simulator.run_benchmark``, whose
+        pause covers the whole cell).
         """
-        import gc
-
         pipeline = self.pipeline
         config = self.config
         detail = config.detail_span
@@ -134,10 +135,7 @@ class SampledRun:
         # legitimately empties.  Resetting it here keeps cold and
         # checkpoint-restored runs bit-identical for every mechanism.
         self.warmer.reset_producer_ring()
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_paused():
             stats.reset_window()
             while covered < instructions and not pipeline._finished():
                 if debits is not None:
@@ -193,9 +191,6 @@ class SampledRun:
                     pipeline.skip_to(end, cycle)
                     if end >= trace_length:
                         break
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
         if debits is not None:
             for name, debit in zip(_COUNTER_FIELDS, debits):

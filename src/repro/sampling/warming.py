@@ -31,6 +31,7 @@ DESIGN.md §8):
 
 from __future__ import annotations
 
+from repro.common.codegen import define
 from repro.isa.instruction import NO_REG
 from repro.isa.program import INSTR_BYTES
 from repro.isa.registers import FP_BASE
@@ -135,15 +136,14 @@ class FunctionalWarmer:
         expression = "(v := value)" + "".join(
             f" ^ (v >> {shift})" for shift in shifts
         )
-        namespace: dict = {}
-        exec(  # noqa: S102 - static template, no external input
+        return define(
             "def fold_values(values):\n"
             "    return [({expr}) & {mask} for value in values]".format(
                 expr=expression, mask=(1 << hash_bits) - 1
             ),
-            namespace,
+            {},
+            "fold_values",
         )
-        return namespace["fold_values"]
 
     def warm(self, start: int, count: int, cycle: int) -> tuple[int, int]:
         """Warm ``trace[start:start + count]``.

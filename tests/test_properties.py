@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.bitops import fold_hash, mask64, to_signed64, from_signed64
 from repro.common.history import GlobalHistory
@@ -425,3 +425,124 @@ class TestCodecEdgeCases:
         columnar = ColumnarTrace.from_payload(pack_trace(trace, 2000))
         for index, d in enumerate(trace.instructions):
             _assert_rows_equal(d, columnar.row(index))
+
+
+# ---------------------------------------------------------------------------
+# Lazily allocated cache / BTB sets against a list-of-lists reference
+# ---------------------------------------------------------------------------
+
+
+class _ListSetCache:
+    """Reference model: every set preallocated as an MRU-first list."""
+
+    def __init__(self, sets: int, ways: int) -> None:
+        self.sets = [[] for _ in range(sets)]
+        self.ways = ways
+        self.mask = sets - 1
+
+    def present(self, line):
+        return line in self.sets[line & self.mask]
+
+    def touch(self, line):
+        ways = self.sets[line & self.mask]
+        if line not in ways:
+            return False
+        ways.remove(line)
+        ways.insert(0, line)
+        return True
+
+    def fill(self, line):
+        ways = self.sets[line & self.mask]
+        victim = None
+        if line in ways:
+            ways.remove(line)
+        elif len(ways) >= self.ways:
+            victim = ways.pop()
+        ways.insert(0, line)
+        return victim
+
+    def contents(self):
+        return {i: ways for i, ways in enumerate(self.sets) if ways}
+
+
+class _ListSetBtb:
+    """Reference model of the BTB with every set preallocated."""
+
+    def __init__(self, sets: int, ways: int) -> None:
+        self.sets = [[] for _ in range(sets)]
+        self.ways = ways
+        self.mask = sets - 1
+        self.hits = self.misses = 0
+
+    def _locate(self, pc):
+        word = pc >> 2
+        return self.sets[word & self.mask], word >> self.mask.bit_length()
+
+    def lookup(self, pc):
+        ways, tag = self._locate(pc)
+        for position, (entry_tag, target) in enumerate(ways):
+            if entry_tag == tag:
+                ways.insert(0, ways.pop(position))
+                self.hits += 1
+                return target
+        self.misses += 1
+        return None
+
+    def update(self, pc, target):
+        ways, tag = self._locate(pc)
+        ways[:] = [entry for entry in ways if entry[0] != tag]
+        ways.insert(0, (tag, target))
+        del ways[self.ways:]
+
+    def contents(self):
+        return {i: ways for i, ways in enumerate(self.sets) if ways}
+
+
+# At most 16 entries over 24 distinct lines/branches: sets overflow, so
+# victims and MRU reordering are exercised on most examples.
+_geometry = st.tuples(st.sampled_from([1, 2, 4]), st.sampled_from([1, 2, 4]))
+
+
+class TestLazySetProperties:
+    @given(_geometry,
+           st.lists(st.tuples(st.sampled_from(["present", "touch", "fill"]),
+                              st.integers(min_value=0, max_value=23)),
+                    max_size=200))
+    @settings(max_examples=150, deadline=None)
+    @example((1, 2), [("fill", 0), ("fill", 1), ("touch", 0), ("fill", 2),
+                      ("present", 1), ("fill", 1)])
+    def test_cache_matches_list_reference(self, geometry, operations):
+        from repro.memory.cache import LINE_SHIFT, Cache
+
+        sets, ways = geometry
+        cache = Cache("T", (sets * ways) << LINE_SHIFT, ways, 1)
+        reference = _ListSetCache(sets, ways)
+        for operation, line in operations:
+            assert getattr(cache, operation)(line) == getattr(
+                reference, operation
+            )(line), (operation, line)
+            assert cache._tags == reference.contents()
+
+    @given(_geometry,
+           st.lists(st.tuples(st.booleans(),
+                              st.integers(min_value=0, max_value=23),
+                              st.integers(min_value=0, max_value=3)),
+                    max_size=200))
+    @settings(max_examples=150, deadline=None)
+    @example((1, 2), [(True, 0, 1), (True, 1, 2), (False, 0, 0),
+                      (True, 2, 3), (False, 1, 0), (False, 0, 0)])
+    def test_btb_matches_list_reference(self, geometry, operations):
+        from repro.frontend.btb import BranchTargetBuffer
+
+        sets, ways = geometry
+        btb = BranchTargetBuffer(sets * ways, ways)
+        reference = _ListSetBtb(sets, ways)
+        for is_update, word, target in operations:
+            pc = word << 2
+            if is_update:
+                btb.update(pc, target)
+                reference.update(pc, target)
+            else:
+                assert btb.lookup(pc) == reference.lookup(pc), pc
+            assert btb._storage == reference.contents()
+        assert (btb.hits, btb.misses) == (reference.hits, reference.misses)

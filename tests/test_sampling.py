@@ -10,8 +10,13 @@ The contract under test (DESIGN.md §8):
   requested window, is deterministic, and lands near the full-detail
   IPC;
 * µarch checkpoints round-trip: a run that restores a stored checkpoint
-  is bit-identical to the run that captured it, and corrupt checkpoints
-  fall back to warming;
+  is bit-identical to the run that captured it, and corrupt or
+  stale-format checkpoints fall back to warming;
+* functional warming trains the memory side exactly as replaying its
+  loads, stores and fetches through the hierarchy does (store-heavy
+  span);
+* a cell pauses the cyclic collector and always restores the caller's
+  GC state;
 * ``Stats.reset_window`` zeroes every counter field, present and future
   (dataclass introspection), so new interval/CI fields can never leak
   across the warm-up boundary.
@@ -20,6 +25,9 @@ The contract under test (DESIGN.md §8):
 from __future__ import annotations
 
 import dataclasses
+import gc
+import pickle
+import weakref
 
 import pytest
 
@@ -31,6 +39,7 @@ from repro.pipeline.simulator import _TRACE_SLACK, Simulator
 from repro.pipeline.stats import Stats
 from repro.sampling import SampledRun, SamplingConfig
 from repro.sampling.checkpoint import (
+    CHECKPOINT_FORMAT,
     CheckpointError,
     capture_checkpoint,
     restore_checkpoint,
@@ -39,7 +48,7 @@ from repro.sampling.controller import confidence_halfwidth
 from repro.workloads.store import TraceStore
 
 
-from helpers import stats_dict  # noqa: E402  (shared test helper)
+from helpers import eager_trace, stats_dict  # noqa: E402  (shared helpers)
 
 
 #: Degenerate: full duty cycle — must be indistinguishable from detail.
@@ -244,6 +253,57 @@ class TestCheckpoints:
         assert again_sim.trace_store.checkpoint_writes == 1  # re-captured
         assert stats_dict(again.stats) == stats_dict(reference.stats)
 
+    def test_stale_format_checkpoint_is_rewarmed(self, tmp_path):
+        """A format-1 payload is a miss wherever it sits: under its own
+        (format-keyed) name it is never read, and at the current name
+        restore rejects it.  Either way the cell re-warms, writes a
+        current-format payload, and its stats do not change."""
+        mechanism = MechanismConfig.rsep_realistic()
+        reference_sim = Simulator(trace_store=TraceStore(tmp_path))
+        reference = reference_sim.run_benchmark(
+            "mcf", mechanism, sampling=ACTIVE, **self.KWARGS
+        )
+        [current] = tmp_path.glob("*.ckpt")
+        payload = pickle.loads(current.read_bytes())
+        assert payload["format"] == CHECKPOINT_FORMAT == 2
+        stale = pickle.dumps(_format_1(payload))
+
+        # Left behind under the name the format-1 code keyed it by.
+        token = reference_sim._checkpoint_token(
+            mechanism, self.KWARGS["warmup"]
+        )
+        assert token.endswith("ckpt2")
+        old_path = reference_sim.trace_store.checkpoint_path(
+            "mcf", 1, token[:-1] + "1"
+        )
+        current.unlink()
+        old_path.write_bytes(stale)
+        again_sim = Simulator(trace_store=TraceStore(tmp_path))
+        again = again_sim.run_benchmark(
+            "mcf", mechanism, sampling=ACTIVE, **self.KWARGS
+        )
+        assert again_sim.trace_store.checkpoint_hits == 0
+        assert again_sim.trace_store.checkpoint_writes == 1
+        assert stats_dict(again.stats) == stats_dict(reference.stats)
+
+        # Planted under the current name: rejected, re-warmed, replaced.
+        current.write_bytes(stale)
+        third_sim = Simulator(trace_store=TraceStore(tmp_path))
+        third = third_sim.run_benchmark(
+            "mcf", mechanism, sampling=ACTIVE, **self.KWARGS
+        )
+        assert third_sim.trace_store.checkpoint_writes == 1
+        assert pickle.loads(current.read_bytes())["format"] == 2
+        assert stats_dict(third.stats) == stats_dict(reference.stats)
+
+        restored_sim = Simulator(trace_store=TraceStore(tmp_path))
+        restored = restored_sim.run_benchmark(
+            "mcf", mechanism, sampling=ACTIVE, **self.KWARGS
+        )
+        assert restored_sim.trace_store.checkpoint_hits == 1
+        assert restored_sim.trace_store.checkpoint_writes == 0
+        assert stats_dict(restored.stats) == stats_dict(reference.stats)
+
     def test_mechanism_mismatch_is_rejected(self):
         simulator = Simulator(trace_store=None)
         trace = simulator.trace_for("mcf", 1, 4000)
@@ -272,10 +332,14 @@ class TestCheckpoints:
         )
         base_table = fresh.rsep.predictor._base_distance
         l1d_sets = fresh.hierarchy.l1d._tags
+        btb_sets = fresh.branch_unit.btb._storage
         restore_checkpoint(fresh, payload)
-        # identity preserved (generated fast paths close over these)
+        # identity preserved (generated fast paths close over these, and
+        # the inlined L1 hit paths read the set containers)
         assert fresh.rsep.predictor._base_distance is base_table
         assert fresh.hierarchy.l1d._tags is l1d_sets
+        assert fresh.branch_unit.btb._storage is btb_sets
+        assert btb_sets == warmed.branch_unit.btb._storage
         # values restored
         assert fresh.history._bits == warmed.history._bits
         assert (
@@ -285,6 +349,172 @@ class TestCheckpoints:
         assert fresh.hierarchy.l1d._tags == warmed.hierarchy.l1d._tags
         assert fresh.cycle == warmed.cycle
         assert fresh._cursor == warmed._cursor
+
+
+def _format_1(snap):
+    """*snap* re-encoded the way format 1 did: no bulk nodes, one node
+    per element, under a format-1 header."""
+    if not isinstance(snap, dict):
+        return snap
+    if "roots" in snap:
+        roots = {name: _format_1(root) for name, root in snap["roots"].items()}
+        return {**snap, "format": 1, "roots": roots}
+    kind = snap["k"]
+    if kind == "V":
+        node = {"k": snap["t"], "v": list(snap["v"]), "o": False}
+        if "m" in snap:
+            node["m"] = snap["m"]
+        return node
+    if kind == "O":
+        return {**snap, "a": {n: _format_1(v) for n, v in snap["a"].items()}}
+    if kind == "D":
+        return {**snap, "v": [(_format_1(k), _format_1(v))
+                              for k, v in snap["v"]]}
+    if kind in ("L", "T", "S", "FS", "Q"):
+        return {**snap, "v": [_format_1(item) for item in snap["v"]]}
+    return snap
+
+
+class TestStoreWarming:
+    """Warming a store-heavy span leaves the memory side exactly where
+    replaying that span's fetches, loads and stores through the
+    hierarchy leaves it — dirty lines included."""
+
+    SPAN = 4000
+
+    @staticmethod
+    def _replay(rows, core_config):
+        """The warmer's memory-side call sequence, made directly."""
+        from repro.memory.hierarchy import MemoryHierarchy
+
+        hierarchy = MemoryHierarchy(core_config.memory)
+        cycle = 0
+        last_line = -1
+        for d in rows:
+            cycle += 1
+            if d.line != last_line:
+                hierarchy.fetch(d.pc, cycle)
+                last_line = d.line
+            if d.is_branch:
+                if d.taken:
+                    last_line = -1
+            elif d.is_load:
+                hierarchy.load(d.pc, d.addr, cycle)
+            elif d.is_store:
+                hierarchy.store(d.pc, d.addr, cycle)
+        return hierarchy
+
+    @pytest.mark.parametrize("plane", ["columnar", "eager"])
+    def test_store_span_matches_hierarchy_replay(self, plane):
+        simulator = Simulator(trace_store=None)
+        length = self.SPAN + _TRACE_SLACK
+        eager = eager_trace("lbm", 1, length)
+        trace = (
+            simulator.trace_for("lbm", 1, length) if plane == "columnar"
+            else eager
+        )
+        pipeline = Pipeline(
+            trace, simulator.core_config, MechanismConfig.baseline(), 1
+        )
+        assert SampledRun(pipeline, ACTIVE).warm_up(self.SPAN) == self.SPAN
+        rows = eager.instructions[:self.SPAN]
+        assert sum(d.is_store for d in rows) > self.SPAN // 10
+        expected = self._replay(rows, simulator.core_config)
+        warmed = pipeline.hierarchy
+        assert expected.l1d._dirty  # the span really dirties lines
+        assert warmed.l1d._dirty == expected.l1d._dirty
+        for level in ("l1d", "l2", "l3"):
+            assert getattr(warmed, level)._tags == getattr(
+                expected, level
+            )._tags, level
+
+
+@pytest.fixture
+def gc_guard():
+    """Leave the collector enabled whatever a test does to it."""
+    yield
+    gc.enable()
+
+
+@pytest.mark.usefixtures("gc_guard")
+class TestGcPause:
+    """One pause per cell; the caller's GC state survives every exit."""
+
+    KWARGS = dict(warmup=500, measure=1500, seed=1)
+
+    def _run(self, simulator, sampled):
+        return simulator.run_benchmark(
+            "mcf", MechanismConfig.rsep_realistic(),
+            sampling=ACTIVE if sampled else SamplingConfig.disabled(),
+            **self.KWARGS,
+        )
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["plain", "sampled"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_survives_cell(self, tmp_path, monkeypatch, sampled,
+                                 enabled):
+        seen = []
+        original = Simulator.trace_for
+
+        def spy(self, *args):
+            seen.append(gc.isenabled())
+            return original(self, *args)
+
+        monkeypatch.setattr(Simulator, "trace_for", spy)
+        (gc.enable if enabled else gc.disable)()
+        self._run(Simulator(trace_store=TraceStore(tmp_path)), sampled)
+        assert gc.isenabled() is enabled
+        assert seen == [False]  # trace load already inside the pause
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["plain", "sampled"])
+    def test_state_survives_raising_cell(self, monkeypatch, sampled):
+        def boom(self, target):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(Pipeline, "run_until", boom)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="injected"):
+            self._run(Simulator(trace_store=None), sampled)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["plain", "sampled"])
+    def test_dead_pipeline_is_young_garbage(self, tmp_path, monkeypatch,
+                                            sampled):
+        """The cell's pipeline (a reference cycle) is unreachable before
+        the pause ends, so the youngest-generation collection frees it;
+        one still referenced when the collector resumes is promoted and
+        lingers until a full collection (peak RSS grows cell by cell)."""
+        pipelines = []
+        original = Pipeline.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            pipelines.append(weakref.ref(self))
+
+        monkeypatch.setattr(Pipeline, "__init__", spy)
+        gc.enable()
+        self._run(Simulator(trace_store=TraceStore(tmp_path)), sampled)
+        gc.collect(0)
+        assert [ref() for ref in pipelines] == [None]
+
+    def test_state_survives_corrupt_checkpoint_fallback(self, tmp_path):
+        reference = self._run(Simulator(trace_store=TraceStore(tmp_path)),
+                              True)
+        [artifact] = tmp_path.glob("*.ckpt")
+        # A readable payload whose roots cannot apply: restore raises
+        # mid-cell and the simulator rebuilds and re-warms.
+        unusable = pickle.dumps(
+            {"format": CHECKPOINT_FORMAT, "cursor": 0, "cycle": 0,
+             "roots": {}}
+        )
+        for enabled in (True, False):
+            artifact.write_bytes(unusable)
+            (gc.enable if enabled else gc.disable)()
+            simulator = Simulator(trace_store=TraceStore(tmp_path))
+            again = self._run(simulator, True)
+            assert gc.isenabled() is enabled
+            assert simulator.trace_store.checkpoint_writes == 1
+            assert stats_dict(again.stats) == stats_dict(reference.stats)
 
 
 class TestResetWindowIntegrity:
